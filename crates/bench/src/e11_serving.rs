@@ -3,21 +3,19 @@
 //!
 //! The poster's system served one mobile client; a deployed server
 //! faces thousands at once, clustered on the same hot protein
-//! families. The experiment has four sections, all on Zipf-correlated
+//! families. The experiment has three sections, all on Zipf-correlated
 //! session fleets:
 //!
 //! 1. **Serving modes** (small fleets) — *naive* per-session systems
 //!    (per-leaf singleton round-trips, no cache), *per-session-opt*
 //!    (full optimizer, private caches: M sessions pay for the same hot
 //!    clades M times), and *fleet* (one [`FleetBuilder`] run over one
-//!    shared executor: sharded semantic cache, virtual-time flight
+//!    shared executor: one semantic cache, virtual-time flight
 //!    coalescing — one session's miss warms every session).
 //! 2. **Fleet scale** — the shared scheduler alone from 64 up to
 //!    16,384 sessions; the event-driven design keeps the worker pool
 //!    fixed while the fleet grows.
-//! 3. **Shard sweep** — cache shard counts at a fixed fleet, the
-//!    contention knob [`FleetBuilder::with_shards`] exposes.
-//! 4. **Failure scenarios** — an *sla* row (deadlines + admission
+//! 3. **Failure scenarios** — an *sla* row (deadlines + admission
 //!    control + hedging) and a *storm* row (scripted
 //!    [`FlakySource`] outage
 //!    windows, served through as graceful partial results). The
@@ -148,7 +146,6 @@ fn run_isolated(
 /// The knobs a shared-scheduler cell can turn.
 #[derive(Default)]
 struct FleetScenario {
-    shards: Option<usize>,
     deadline: Option<DeadlinePolicy>,
     admission: Option<AdmissionControl>,
     hedging: Option<HedgePolicy>,
@@ -192,9 +189,6 @@ fn run_fleet_cell(
     // consumed by `run`, the metrics live in the shared `Arc`s.
     let sources = fleet.dataset().registry.all().to_vec();
     let mut builder = fleet.with_sessions(workloads.to_vec());
-    if let Some(shards) = scenario.shards {
-        builder = builder.with_shards(shards);
-    }
     if let Some(deadline) = scenario.deadline {
         builder = builder.with_deadline_policy(deadline);
     }
@@ -233,11 +227,6 @@ pub fn run(config: RunConfig) -> ExperimentTable {
             (256, 12, vec![1, 8, 64], vec![1024, 4096, 16384])
         };
     let sweep_sessions = if config.quick { 256 } else { 1024 };
-    let shard_sweep: &[usize] = if config.quick {
-        &[1, 8, 32]
-    } else {
-        &[1, 4, 16, 64]
-    };
     let bundle = SyntheticBundle::generate(
         &WorkloadSpec::default()
             .leaves(leaves)
@@ -292,22 +281,9 @@ pub fn run(config: RunConfig) -> ExperimentTable {
         table.row(outcome.row(sessions, "fleet", gestures));
     }
 
-    // 3. Cache shard sweep at a fixed fleet.
+    // 3. Failure scenarios at a fixed fleet.
     let sweep_workloads = fleet_for(sweep_sessions);
     let sweep_gestures: usize = sweep_workloads.iter().map(|w| w.script.len()).sum();
-    for &shards in shard_sweep {
-        let outcome = run_fleet_cell(
-            &bundle,
-            &sweep_workloads,
-            &FleetScenario {
-                shards: Some(shards),
-                ..Default::default()
-            },
-        );
-        table.row(outcome.row(sweep_sessions, &format!("shards={shards}"), sweep_gestures));
-    }
-
-    // 4. Failure scenarios at the same fixed fleet.
     let sla = run_fleet_cell(
         &bundle,
         &sweep_workloads,
@@ -333,7 +309,7 @@ pub fn run(config: RunConfig) -> ExperimentTable {
     );
     table.row(storm.row(sweep_sessions, "storm", sweep_gestures));
 
-    // 5. Full mode only: replay the 4,096-session cell and check the
+    // 4. Full mode only: replay the 4,096-session cell and check the
     // two runs render identically (wall-clock never enters the table).
     if !config.quick {
         let workloads = fleet_for(4096);
@@ -347,7 +323,9 @@ pub fn run(config: RunConfig) -> ExperimentTable {
             "4096-session replay check: MISMATCH (nondeterminism regression!)"
         });
     }
-    table.note("latencies are charged per interaction (a query's share of coalesced work)");
+    table.note(
+        "latencies are charged per interaction (flight wait plus the shared execution's cost)",
+    );
     table.note("sessions overlap in virtual time; makespan = slowest session's total");
     table.note("degraded column reads shed/deadline/hedged/outage");
     table.note("sla = 150ms deadlines + 32-flight admission + p95 hedging; storm = 100ms source outages every 250ms");
@@ -406,10 +384,7 @@ mod tests {
         let big = cell(&t, "1024", "fleet");
         let tput: f64 = big[2].parse().unwrap();
         assert!(tput > 0.0);
-        // Shard sweep and failure scenarios are present.
-        for shards in ["shards=1", "shards=8", "shards=32"] {
-            cell(&t, "256", shards);
-        }
+        // Failure scenarios are present.
         let storm = degraded(cell(&t, "256", "storm"));
         assert!(storm[3] > 0, "storm row must record outages: {storm:?}");
         let sla = degraded(cell(&t, "256", "sla"));

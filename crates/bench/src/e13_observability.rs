@@ -103,7 +103,7 @@ pub fn run(config: RunConfig) -> ExperimentTable {
         let ratio = observed_mean.as_secs_f64() / baseline_mean.as_secs_f64().max(1e-12);
 
         // Same traffic with the columnar mirror built: the trace's
-        // cost mass moves from the fetch stages to Stage::Compute.
+        // cost mass moves from the fetch stage to Stage::Compute.
         let local_registry = Arc::new(MetricsRegistry::new());
         let local_mean = run_stream(Some(Arc::clone(&local_registry)), true);
         let local_query_ns = local_registry.stage_nanos(Stage::Query).max(1);
@@ -111,7 +111,7 @@ pub fn run(config: RunConfig) -> ExperimentTable {
 
         let n = registry.queries.get().max(1);
         let query_ns = registry.stage_nanos(Stage::Query).max(1);
-        let fetch_ns = registry.stage_nanos(Stage::Fetch) + registry.stage_nanos(Stage::Coalesce);
+        let fetch_ns = registry.stage_nanos(Stage::Fetch);
         table.row(vec![
             class.label().to_string(),
             fmt_ms(observed_mean),

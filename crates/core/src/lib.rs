@@ -41,7 +41,7 @@ pub mod system;
 pub use builder::DrugTreeBuilder;
 pub use obs::{AdvisorReport, JsonlFileSink, TopReport};
 pub use sched::{AdmissionControl, DeadlinePolicy, HedgePolicy, SchedStats};
-pub use serve::{FleetBuilder, ServeError, ServeReport};
+pub use serve::{FleetBuilder, ServeError, ServeReport, ServeStats};
 pub use snapshot::{load_system, save_system};
 pub use system::{DrugTree, DrugTreeError, SystemReport};
 
@@ -50,7 +50,7 @@ pub mod prelude {
     pub use crate::builder::DrugTreeBuilder;
     pub use crate::obs::{AdvisorReport, JsonlFileSink, TopReport};
     pub use crate::sched::{AdmissionControl, DeadlinePolicy, HedgePolicy, SchedStats};
-    pub use crate::serve::{FleetBuilder, ServeError, ServeReport};
+    pub use crate::serve::{FleetBuilder, ServeError, ServeReport, ServeStats};
     pub use crate::system::{DrugTree, DrugTreeError, SystemReport};
     pub use drugtree_mobile::gestures::{drill_down_script, GestureConfig};
     pub use drugtree_mobile::serve::{zipf_sessions, SessionWorkload};
@@ -59,7 +59,6 @@ pub mod prelude {
     pub use drugtree_phylo::{NodeId, Tree, TreeIndex};
     pub use drugtree_query::ast::{Metric, Query, QueryKind, Scope};
     pub use drugtree_query::optimizer::{Optimizer, OptimizerConfig};
-    pub use drugtree_query::serve::{ServeConfig, ServeStats};
     pub use drugtree_query::{
         AnalyzedResult, GestureObservation, MetricsRegistry, Observer, QuerySpan, QueryTrace, Stage,
     };

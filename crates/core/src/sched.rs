@@ -26,9 +26,9 @@
 //! * **Virtual-time coalescing** — a query opens a *flight* keyed on
 //!   the query's identity and held open for a coalesce window of
 //!   virtual time; identical queries arriving inside the window join
-//!   the flight and share one execution (the fleet-scale analogue of
-//!   the executor's wall-clock single-flight, which a serialized
-//!   scheduler can never trigger).
+//!   the flight and share one execution. This is the system's one
+//!   cross-session dedupe: execution is serialized, so two identical
+//!   fetches never race inside the executor.
 //! * **Admission control** — a bound on concurrently open flights;
 //!   arrivals beyond it are *shed* with a degraded result and a small
 //!   rejection cost, counted per query class.

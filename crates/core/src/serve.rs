@@ -7,11 +7,11 @@
 //! deterministically on a worker pool the size of a desk, not a
 //! datacenter. The builder's `with_*` methods opt into the production
 //! failure scenarios (per-class deadlines, admission control with load
-//! shedding, hedged requests, graceful outage degradation) and the
-//! cache shard-count sweep; [`FleetBuilder::run`] returns a
-//! [`ServeReport`] whose per-class [`ServeClassCounters`] expose the
-//! shed/hedged/deadline-missed counts, also emitted to any attached
-//! observer as `{"event":"serve"}` JSONL records for `drugtree top`.
+//! shedding, hedged requests, graceful outage degradation);
+//! [`FleetBuilder::run`] returns a [`ServeReport`] whose per-class
+//! [`ServeClassCounters`] expose the shed/hedged/deadline-missed
+//! counts, also emitted to any attached observer as
+//! `{"event":"serve"}` JSONL records for `drugtree top`.
 
 use crate::sched::{run_fleet, SchedStats, SchedulerConfig};
 use crate::system::{DrugTree, DrugTreeError};
@@ -19,9 +19,8 @@ use drugtree_mobile::serve::SessionWorkload;
 use drugtree_mobile::MobileError;
 use drugtree_query::cache::CacheStats;
 use drugtree_query::obs::ServeClassCounters;
-use drugtree_query::serve::ServeStats;
 use drugtree_query::trace::Observer;
-use drugtree_query::{Dataset, Executor, ServeConfig};
+use drugtree_query::{Dataset, Executor};
 use drugtree_sources::clock::wall_now;
 use std::fmt;
 use std::sync::Arc;
@@ -78,6 +77,20 @@ impl From<ServeError> for DrugTreeError {
     }
 }
 
+/// Executor-level fetch-sharing counters.
+///
+/// Kept so reports and benchmarks that read these fields keep
+/// compiling. Nothing in the executor shares fetches any more: the
+/// scheduler's virtual-time flights are the one cross-session dedupe,
+/// counted in [`SchedStats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServeStats {
+    /// Fetches that joined an identical in-flight request.
+    pub flights_joined: u64,
+    /// Fetches that rode another query's batch.
+    pub batch_joins: u64,
+}
+
 /// What a serving run measured.
 #[derive(Debug, Clone)]
 pub struct ServeReport {
@@ -98,7 +111,9 @@ pub struct ServeReport {
     pub session_totals: Vec<Duration>,
     /// Cache counters after the run.
     pub cache: CacheStats,
-    /// Coordinator counters after the run (when serving was enabled).
+    /// Always `None`: the executor no longer shares fetches across
+    /// sessions (see [`ServeStats`]). The field remains so existing
+    /// readers of it keep compiling.
     pub serve: Option<ServeStats>,
     /// Per-class shed/hedge/deadline/outage counters, in class display
     /// order, omitting classes that saw no traffic.
@@ -206,8 +221,6 @@ pub struct FleetBuilder {
     executor: Executor,
     workloads: Vec<SessionWorkload>,
     config: SchedulerConfig,
-    shards: Option<usize>,
-    serve_config: ServeConfig,
 }
 
 impl FleetBuilder {
@@ -217,14 +230,6 @@ impl FleetBuilder {
             executor,
             workloads: Vec::new(),
             config: SchedulerConfig::default(),
-            shards: None,
-            // The scheduler serializes execution, so the executor's
-            // wall-clock coalescing delay buys nothing: cross-session
-            // sharing happens in virtual time at the flight layer.
-            serve_config: ServeConfig {
-                delay_yields: 0,
-                ..ServeConfig::default()
-            },
         }
     }
 
@@ -252,14 +257,6 @@ impl FleetBuilder {
         self
     }
 
-    /// Pin the semantic cache's shard count (the E11 shard sweep).
-    /// Without this the serving default
-    /// ([`Executor::SERVING_CACHE_SHARDS`]) applies.
-    pub fn with_shards(mut self, shards: usize) -> FleetBuilder {
-        self.shards = Some(shards);
-        self
-    }
-
     /// Worker threads in the scheduler pool (`0` = default pool of 4).
     /// The pool size never affects results — only wall-clock speed.
     pub fn with_workers(mut self, workers: usize) -> FleetBuilder {
@@ -270,12 +267,6 @@ impl FleetBuilder {
     /// Virtual time a flight stays open for same-query joiners.
     pub fn with_coalesce_window(mut self, window: Duration) -> FleetBuilder {
         self.config.coalesce_window = window;
-        self
-    }
-
-    /// Override the executor-level fetch-coordination tuning.
-    pub fn with_serve_config(mut self, config: ServeConfig) -> FleetBuilder {
-        self.serve_config = config;
         self
     }
 
@@ -303,11 +294,7 @@ impl FleetBuilder {
     }
 
     /// Run the fleet to completion and roll up the measurements.
-    pub fn run(mut self) -> Result<ServeReport, ServeError> {
-        self.executor.enable_serving(self.serve_config);
-        if let Some(shards) = self.shards {
-            self.executor.set_cache_shards(shards);
-        }
+    pub fn run(self) -> Result<ServeReport, ServeError> {
         let started = wall_now();
         let outcome = run_fleet(&self.dataset, &self.executor, &self.workloads, &self.config)?;
         let wall = wall_now().duration_since(started);
@@ -323,7 +310,7 @@ impl FleetBuilder {
             latencies: outcome.latencies,
             session_totals: outcome.session_totals,
             cache: self.executor.cache_stats(),
-            serve: self.executor.serve_stats(),
+            serve: None,
             classes: outcome.classes,
             sched: Some(outcome.stats),
         })
@@ -396,7 +383,6 @@ mod tests {
         assert!(report.throughput() > 0.0);
         let stats = report.cache;
         assert_eq!(stats.hits + stats.misses, stats.probes);
-        assert!(report.serve.is_some(), "run enables fetch coordination");
         let sched = report.sched.expect("scheduler stats present");
         assert!(sched.flights > 0);
         assert!(sched.events as usize >= report.gestures);

@@ -78,10 +78,10 @@ pub struct InteractionResult {
     /// Virtual time spent querying sources.
     pub query_latency: Duration,
     /// Latency attributable to this interaction alone: the query's
-    /// charged fetch cost (its share of any coalesced batch, not the
-    /// whole shared clock advance) plus link transfer. Equals
-    /// `complete` for a solo session; diverges under concurrent
-    /// serving, where `query_latency` interleaves other sessions' work.
+    /// charged fetch cost (not the whole shared clock advance) plus
+    /// link transfer. Equals `complete` for a solo session; diverges
+    /// under concurrent serving, where `query_latency` interleaves
+    /// other sessions' work.
     pub charged_latency: Duration,
     /// Time until the first usable content reached the screen
     /// (query + first chunk).

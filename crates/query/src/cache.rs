@@ -54,13 +54,6 @@ pub struct CacheConfig {
     pub max_entries: usize,
     /// Maximum total cached rows (LRU beyond this).
     pub max_rows: usize,
-    /// Shard count of the executor-level sharded cache (rounded up to
-    /// a power of two; 1 = a single globally locked cache). Budgets
-    /// above are split evenly across shards. Defaults to 1 so a
-    /// single-session executor keeps its full budget and subsumption
-    /// reach in one shard; `Executor::enable_serving` re-shards for
-    /// concurrency.
-    pub shards: usize,
 }
 
 impl Default for CacheConfig {
@@ -68,7 +61,6 @@ impl Default for CacheConfig {
         CacheConfig {
             max_entries: 64,
             max_rows: 100_000,
-            shards: 1,
         }
     }
 }
@@ -103,7 +95,7 @@ impl CacheStats {
 }
 
 /// The semantic cache. Not internally synchronized; the executor holds
-/// one per shard behind a shard lock (see `serve::ShardedSemanticCache`).
+/// one behind a single lock, which every session shares.
 ///
 /// Entries live in an id-keyed map with two access paths: an LRU queue
 /// of ids (front = coldest) driving probe order and eviction, and an
@@ -174,15 +166,13 @@ impl SemanticCache {
 
     /// Insert a fetch result. Rows need not be pre-sorted. Entries
     /// subsumed by the new one are dropped (the new entry answers
-    /// everything they could). Returns the entries evicted by budget
-    /// enforcement, so a sharded wrapper can aggregate counters
-    /// without re-locking.
+    /// everything they could).
     pub fn insert(
         &mut self,
         interval: LeafInterval,
         pushdown: Option<Predicate>,
         mut rows: Vec<Vec<Value>>,
-    ) -> u64 {
+    ) {
         rows.sort_by_key(|r| r.first().and_then(Value::as_int).unwrap_or(i64::MAX));
         // Drop entries the new one subsumes. Contained entries have
         // `lo' ∈ [lo, hi]`, so the interval index prunes candidates.
@@ -212,7 +202,7 @@ impl SemanticCache {
                 rows,
             },
         );
-        self.enforce_limits()
+        self.enforce_limits();
     }
 
     /// Drop every entry (sources changed; cached results may be
@@ -282,12 +272,11 @@ impl SemanticCache {
         self.lru.retain(|id| self.entries.contains_key(id));
     }
 
-    fn enforce_limits(&mut self) -> u64 {
+    fn enforce_limits(&mut self) {
         // Strict budgets: an entry larger than the whole row budget is
         // evicted immediately (whole-database results are not worth
         // caching on a constrained client), so it can never crowd out
         // the drill-down-sized entries the mobile workload reuses.
-        let mut evicted = 0;
         while self.entries.len() > self.config.max_entries
             || (self.cached_rows > self.config.max_rows && !self.entries.is_empty())
         {
@@ -299,9 +288,7 @@ impl SemanticCache {
                 self.cached_rows -= e.rows.len();
             }
             self.stats.evictions += 1;
-            evicted += 1;
         }
-        evicted
     }
 }
 
@@ -494,7 +481,6 @@ mod tests {
         let mut c = SemanticCache::new(CacheConfig {
             max_entries: 2,
             max_rows: 1000,
-            ..CacheConfig::default()
         });
         c.insert(iv(0, 1), None, vec![row(0, "a")]);
         c.insert(iv(1, 2), None, vec![row(1, "b")]);
@@ -512,7 +498,6 @@ mod tests {
         let mut c = SemanticCache::new(CacheConfig {
             max_entries: 100,
             max_rows: 3,
-            ..CacheConfig::default()
         });
         c.insert(iv(0, 4), None, vec![row(0, "a"), row(1, "b")]);
         c.insert(iv(4, 8), None, vec![row(4, "c"), row(5, "d")]);
@@ -525,7 +510,6 @@ mod tests {
         let mut c = SemanticCache::new(CacheConfig {
             max_entries: 100,
             max_rows: 2,
-            ..CacheConfig::default()
         });
         c.insert(iv(0, 8), None, vec![row(0, "a"), row(1, "b"), row(2, "c")]);
         assert!(c.is_empty(), "whole-database result exceeds the budget");

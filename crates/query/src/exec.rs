@@ -8,14 +8,13 @@
 
 use crate::adaptive::{AdaptiveRuntime, QueryFeedback};
 use crate::ast::{Metric, Query};
-use crate::cache::{CacheConfig, CacheStats};
+use crate::cache::{CacheConfig, CacheStats, SemanticCache};
 use crate::columnar::ActivityColumns;
 use crate::cost::{CalibrationReport, CostModel};
 use crate::dataset::{unified_schema, unify_assay_row, Dataset};
 use crate::matview::MaterializedAggregates;
 use crate::optimizer::Optimizer;
 use crate::plan::{Access, FetchPlan, Finish, PhysicalPlan};
-use crate::serve::{FetchCoordinator, ServeConfig, ServeStats, ShardedSemanticCache};
 use crate::stats::OverlayStats;
 use crate::trace::{AnalyzedResult, Observer, QuerySpan, Stage, TraceBuilder};
 use crate::{QueryError, Result};
@@ -28,6 +27,7 @@ use drugtree_sources::batcher::{
     batched_lookup_with_retry, singleton_lookups_with_retry, Dispatch,
 };
 use drugtree_sources::clock::VirtualInstant;
+use drugtree_sources::sync::Mutex;
 use drugtree_store::bitmap::Bitmap;
 use drugtree_store::expr::{BoundPredicate, Predicate};
 use drugtree_store::kernel;
@@ -57,17 +57,11 @@ pub struct ExecMetrics {
     pub pruned_leaves: usize,
     /// Transient source failures retried.
     pub retries: usize,
-    /// Virtual fetch cost attributable to this query alone: the full
-    /// cost of solo fetches plus this query's keys-proportional share
-    /// of any coalesced batch it rode. Under concurrent serving the
-    /// shared clock (and thus `virtual_cost`) interleaves every
-    /// session's work; this is the per-query number.
+    /// Virtual fetch and compute cost attributable to this query
+    /// alone. Under concurrent serving the shared clock (and thus
+    /// `virtual_cost`) interleaves every session's work; this is the
+    /// per-query number.
     pub charged_cost: Duration,
-    /// Fetches that joined an identical in-flight request.
-    pub flights_joined: usize,
-    /// Other concurrent queries that shared a coalesced batch with
-    /// this one (summed over this query's fetches).
-    pub shared_batch_peers: usize,
     /// Optimizer notes (rule applications).
     pub notes: Vec<String>,
 }
@@ -92,24 +86,19 @@ pub struct QueryResult {
     pub metrics: ExecMetrics,
 }
 
-/// The executor: optimizer + sharded semantic cache + statistics +
-/// views + (optionally) the cross-session fetch coordinator.
+/// The executor: optimizer + semantic cache + statistics + views.
 ///
 /// `Send + Sync` by construction: every mutable piece sits behind a
-/// shard lock, an atomic, or an `Arc`, so M sessions can share one
-/// executor from real OS threads. The `const` assertion below makes
-/// that a compile-time guarantee a future field cannot silently break.
+/// lock or an `Arc`, so M sessions can share one executor from real OS
+/// threads. The `const` assertion below makes that a compile-time
+/// guarantee a future field cannot silently break.
 pub struct Executor {
     optimizer: Optimizer,
-    cache: ShardedSemanticCache,
-    /// The sizing the cache was built with, kept so `enable_serving`
-    /// can re-shard without losing the configured budgets.
-    cache_config: CacheConfig,
+    cache: Mutex<SemanticCache>,
     stats: Option<OverlayStats>,
     matview: Option<MaterializedAggregates>,
     columnar: Option<ActivityColumns>,
     retry: RetryPolicy,
-    coordinator: Option<Arc<FetchCoordinator>>,
     /// Calibrated cost model: prices plan alternatives in cost-based
     /// mode and accumulates observed-vs-estimated fetch latencies.
     cost: Arc<CostModel>,
@@ -139,13 +128,11 @@ impl Executor {
     pub fn with_cache_config(optimizer: Optimizer, cache: CacheConfig) -> Executor {
         Executor {
             optimizer,
-            cache: ShardedSemanticCache::new(cache),
-            cache_config: cache,
+            cache: Mutex::new(SemanticCache::new(cache)),
             stats: None,
             matview: None,
             columnar: None,
             retry: RetryPolicy::default(),
-            coordinator: None,
             cost: Arc::new(CostModel::new()),
             observer: None,
             adaptive: None,
@@ -210,49 +197,6 @@ impl Executor {
         })
     }
 
-    /// Shard count the semantic cache is raised to when serving is
-    /// enabled (a single-session executor keeps one shard, preserving
-    /// its full budget and subsumption reach).
-    pub const SERVING_CACHE_SHARDS: usize = 8;
-
-    /// Enable cross-session serving: coalesce concurrent identical
-    /// fetches (single-flight), merge overlapping key sets into shared
-    /// batches, and re-shard the semantic cache to at least
-    /// [`Executor::SERVING_CACHE_SHARDS`] so concurrent sessions do
-    /// not contend on one lock. Call before sharing the executor
-    /// across sessions (re-sharding rebuilds the — at that point
-    /// typically empty — cache).
-    pub fn enable_serving(&mut self, config: ServeConfig) {
-        if self.cache.shard_count() < Executor::SERVING_CACHE_SHARDS {
-            let mut cache = self.cache_config;
-            cache.shards = cache.shards.max(Executor::SERVING_CACHE_SHARDS);
-            self.cache = ShardedSemanticCache::new(cache);
-        }
-        self.coordinator = Some(Arc::new(FetchCoordinator::new(config)));
-    }
-
-    /// Rebuild the semantic cache with exactly `shards` shards
-    /// (rounded up to a power of two by the cache itself). The fleet
-    /// scheduler's shard-count sweep calls this *after*
-    /// [`Executor::enable_serving`] to pin the count the experiment
-    /// asks for; cached entries are discarded.
-    pub fn set_cache_shards(&mut self, shards: usize) {
-        let mut cache = self.cache_config;
-        cache.shards = shards.max(1);
-        self.cache_config = cache;
-        self.cache = ShardedSemanticCache::new(cache);
-    }
-
-    /// The fetch coordinator, when serving is enabled.
-    pub fn coordinator(&self) -> Option<&Arc<FetchCoordinator>> {
-        self.coordinator.as_ref()
-    }
-
-    /// Cumulative serving counters, when serving is enabled.
-    pub fn serve_stats(&self) -> Option<ServeStats> {
-        self.coordinator.as_ref().map(|c| c.stats())
-    }
-
     /// Replace the transient-failure retry policy.
     pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
         self.retry = retry;
@@ -296,19 +240,18 @@ impl Executor {
 
     /// Drop all cached results (call after a source refresh).
     pub fn invalidate(&self) {
-        self.cache.invalidate_all();
+        self.cache.lock().invalidate_all();
     }
 
     /// Drop cached results overlapping a leaf interval (a targeted
     /// refresh of one subtree's sources).
     pub fn invalidate_interval(&self, interval: LeafInterval) {
-        self.cache.invalidate_interval(interval);
+        self.cache.lock().invalidate_interval(interval);
     }
 
-    /// Cumulative cache counters. Lock-free: reads the sharded cache's
-    /// atomic counters, so polling stats never stalls serving threads.
+    /// Cumulative cache counters, read under the cache lock.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.cache.lock().stats()
     }
 
     /// Current statistics, if collected.
@@ -440,8 +383,6 @@ impl Executor {
             pruned_leaves: plan.pruned_leaves,
             retries: 0,
             charged_cost: Duration::ZERO,
-            flights_joined: 0,
-            shared_batch_peers: 0,
             notes: plan.notes.clone(),
         };
 
@@ -505,7 +446,7 @@ impl Executor {
                 insert_on_miss,
                 concurrent_sources,
             } => {
-                let probe = self.cache.probe(plan.interval, pushdown.as_ref());
+                let probe = self.cache.lock().probe(plan.interval, pushdown.as_ref());
                 match probe {
                     Some(hit) => {
                         m.cache_hit = Some(true);
@@ -535,6 +476,7 @@ impl Executor {
                         )?;
                         if *insert_on_miss {
                             self.cache
+                                .lock()
                                 .insert(plan.interval, pushdown.clone(), rows.clone());
                         }
                         rows
@@ -795,56 +737,6 @@ impl Executor {
             } else {
                 Dispatch::Sequential
             };
-            // Batched fetches route through the coordinator when
-            // serving is enabled: identical concurrent fetches collapse
-            // to one flight, overlapping key sets merge into shared
-            // batches. Singleton (naive-mode) fetches never coalesce —
-            // the unoptimized baseline must stay unoptimized.
-            if let (Some(coord), true) = (&self.coordinator, f.batched) {
-                let cf = coord.fetch(
-                    source.as_ref(),
-                    &f.keys,
-                    f.pushdown.as_ref(),
-                    dispatch,
-                    self.retry,
-                )?;
-                m.retries += cf.retries as usize;
-                m.source_requests += cf.requests;
-                m.rows_fetched += cf.rows.len();
-                m.charged_cost += cf.charged;
-                m.flights_joined += usize::from(cf.flight_joined);
-                m.shared_batch_peers += cf.shared_with;
-                if let Some(tb) = sink.as_deref_mut() {
-                    let mut span = QuerySpan::new(Stage::Coalesce, f.source.clone(), fetch_started);
-                    span.actual = cf.charged;
-                    span.est_cost = Some(f.est_cost);
-                    span.est_rows = Some(f.est_rows);
-                    span.rows = Some(cf.rows.len() as u64);
-                    span.attrs = vec![
-                        ("requests", cf.requests as u64),
-                        ("keys", f.keys.len() as u64),
-                        ("retries", u64::from(cf.retries)),
-                        ("flights_joined", u64::from(cf.flight_joined)),
-                        ("shared_peers", cf.shared_with as u64),
-                    ];
-                    tb.push(span);
-                }
-                let mut unified = Vec::with_capacity(cf.rows.len());
-                for raw in &cf.rows {
-                    match unify_assay_row(dataset, raw) {
-                        Some(row) => unified.push(row),
-                        None => m.rows_unmapped += 1,
-                    }
-                }
-                per_source_rows.push(unified);
-                // Exactly one participant per upstream dispatch carries
-                // the advance flag, so the shared clock moves once per
-                // batch regardless of how many queries rode it.
-                if cf.advance {
-                    dataset.clock.advance(cf.cost);
-                }
-                continue;
-            }
             let resp = if f.batched {
                 batched_lookup_with_retry(
                     source.as_ref(),
@@ -878,10 +770,7 @@ impl Executor {
                 tb.push(span);
             }
             // Calibration feedback: record the observed virtual latency
-            // of this fetch against the planner's estimate. Only the
-            // direct path observes — coalesced cross-session batches
-            // mix several queries' keys, so their per-fetch shape would
-            // poison the per-source fit.
+            // of this fetch against the planner's estimate.
             if self.optimizer.config().cost_based {
                 let effective_requests = if f.concurrent {
                     1

@@ -34,8 +34,6 @@
 //!   segments answering interval scopes with vectorized kernels
 //!   instead of source round-trips (design decision D12).
 //! * [`matview`] — materialized per-subtree aggregate views.
-//! * [`serve`] — the concurrent serving layer: N-way sharded semantic
-//!   cache plus re-exports of the cross-session fetch coordinator.
 //! * [`trace`] — the observability layer: per-query span trees on the
 //!   virtual clock, the [`Observer`] hook, lock-free metrics, and the
 //!   `EXPLAIN ANALYZE` rendering (design decision D9).
@@ -63,7 +61,6 @@ pub mod optimizer;
 pub mod parser;
 pub mod phases;
 pub mod plan;
-pub mod serve;
 pub mod stats;
 pub mod trace;
 pub mod validate;
@@ -83,7 +80,6 @@ pub use obs::{
 };
 pub use optimizer::{Optimizer, OptimizerConfig};
 pub use phases::{PassTrace, RewritePhase, RuleDef, RuleFiring, RuleOutcome};
-pub use serve::{FetchCoordinator, ServeConfig, ServeStats, ShardedSemanticCache};
 pub use trace::{
     AnalyzedResult, GestureObservation, MetricsRegistry, Observer, QuerySpan, QueryTrace, Stage,
 };

@@ -2,14 +2,13 @@
 //! decision D9) behind `EXPLAIN ANALYZE`.
 //!
 //! Every query the executor runs can produce a [`QueryTrace`]: a tree
-//! of [`QuerySpan`]s (parse → plan → cache probe → per-source fetch /
-//! coalesce → overlay → finish) timed on the **virtual clock**, so a
-//! trace is deterministic and reproducible like every other latency in
-//! the system. Traces are delivered to an [`Observer`] installed on
-//! the executor; the provided [`MetricsRegistry`] observer folds them
-//! into lock-free counters and fixed-bucket histograms (cache
-//! hits/misses, single-flight dedups, rows fetched, batch sizes,
-//! per-source latency).
+//! of [`QuerySpan`]s (parse → plan → cache probe → per-source fetch →
+//! overlay → finish) timed on the **virtual clock**, so a trace is
+//! deterministic and reproducible like every other latency in the
+//! system. Traces are delivered to an [`Observer`] installed on the
+//! executor; the provided [`MetricsRegistry`] observer folds them into
+//! lock-free counters and fixed-bucket histograms (cache hits/misses,
+//! rows fetched, batch sizes, per-source latency).
 //!
 //! **Null-observer fast path**: with no observer installed the
 //! executor never constructs a span, clones a plan, or formats a
@@ -45,11 +44,8 @@ pub enum Stage {
     Plan,
     /// Semantic-cache probe.
     CacheProbe,
-    /// A direct per-source fetch.
+    /// A per-source fetch.
     Fetch,
-    /// A fetch routed through the cross-session coordinator
-    /// (single-flight / shared batches).
-    Coalesce,
     /// Local vectorized compute: columnar kernel evaluation over the
     /// activity mirror (no source round-trip at all).
     Compute,
@@ -62,13 +58,12 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 9] = [
+    pub const ALL: [Stage; 8] = [
         Stage::Query,
         Stage::Parse,
         Stage::Plan,
         Stage::CacheProbe,
         Stage::Fetch,
-        Stage::Coalesce,
         Stage::Compute,
         Stage::Overlay,
         Stage::Finish,
@@ -82,7 +77,6 @@ impl Stage {
             Stage::Plan => "plan",
             Stage::CacheProbe => "cache-probe",
             Stage::Fetch => "fetch",
-            Stage::Coalesce => "coalesce",
             Stage::Compute => "compute",
             Stage::Overlay => "overlay",
             Stage::Finish => "finish",
@@ -96,10 +90,9 @@ impl Stage {
             Stage::Plan => 2,
             Stage::CacheProbe => 3,
             Stage::Fetch => 4,
-            Stage::Coalesce => 5,
-            Stage::Compute => 6,
-            Stage::Overlay => 7,
-            Stage::Finish => 8,
+            Stage::Compute => 5,
+            Stage::Overlay => 6,
+            Stage::Finish => 7,
         }
     }
 }
@@ -109,8 +102,7 @@ impl Stage {
 pub struct QuerySpan {
     /// Which pipeline stage this span covers.
     pub stage: Stage,
-    /// Stage-specific detail: the source name for fetch/coalesce
-    /// spans, `"hit"`/`"miss"` for cache probes, the query text for
+    /// Stage-specific detail: the source name for fetch spans, `"hit"`/`"miss"` for cache probes, the query text for
     /// parse spans.
     pub detail: String,
     /// Virtual clock when the stage started.
@@ -118,9 +110,8 @@ pub struct QuerySpan {
     /// Virtual clock when the stage ended.
     pub ended: VirtualInstant,
     /// Virtual cost attributed to this stage. For fetches this is the
-    /// cost charged to this query (its share of a coalesced batch),
-    /// which under concurrent dispatch can differ from
-    /// `ended - started`.
+    /// cost charged to this query, which under concurrent dispatch can
+    /// differ from `ended - started`.
     pub actual: Duration,
     /// Planner latency estimate for this stage, when one exists.
     pub est_cost: Option<Duration>,
@@ -128,8 +119,8 @@ pub struct QuerySpan {
     pub est_rows: Option<u64>,
     /// Rows this stage produced, when meaningful.
     pub rows: Option<u64>,
-    /// Numeric attributes (`requests`, `keys`, `retries`,
-    /// `flights_joined`, `shared_peers`, `rows_in`, `rows_out`, …).
+    /// Numeric attributes (`requests`, `keys`, `retries`, `rows_in`,
+    /// `rows_out`, …).
     pub attrs: Vec<(&'static str, u64)>,
     /// Child spans (populated on the root span only).
     pub children: Vec<QuerySpan>,
@@ -165,9 +156,9 @@ pub struct QueryTrace {
     pub query: String,
     /// Root span (`Stage::Query`) with one child per pipeline stage.
     pub root: QuerySpan,
-    /// Virtual access cost charged to this query alone (its share of
-    /// any coalesced batch). The estimate-vs-actual comparison uses
-    /// this, because `est_cost` prices exactly the access.
+    /// Virtual access cost charged to this query alone. The
+    /// estimate-vs-actual comparison uses this, because `est_cost`
+    /// prices exactly the access.
     pub access_cost: Duration,
     /// Rows shipped from sources.
     pub rows_fetched: u64,
@@ -183,12 +174,12 @@ pub struct QueryTrace {
 }
 
 impl QueryTrace {
-    /// All fetch/coalesce spans, in dispatch order.
+    /// All fetch spans, in dispatch order.
     pub fn fetch_spans(&self) -> Vec<&QuerySpan> {
         self.root
             .children
             .iter()
-            .filter(|s| matches!(s.stage, Stage::Fetch | Stage::Coalesce))
+            .filter(|s| s.stage == Stage::Fetch)
             .collect()
     }
 
@@ -424,12 +415,6 @@ pub struct MetricsRegistry {
     pub cache_hits: Counter,
     /// Semantic-cache misses.
     pub cache_misses: Counter,
-    /// Fetches that joined an identical in-flight request
-    /// (single-flight dedups).
-    pub flights_joined: Counter,
-    /// Concurrent queries that shared a coalesced batch with an
-    /// observed query.
-    pub shared_batch_peers: Counter,
     /// Rows shipped from sources.
     pub rows_fetched: Counter,
     /// Source round-trips issued.
@@ -462,8 +447,6 @@ impl MetricsRegistry {
             gestures: Counter::new(),
             cache_hits: Counter::new(),
             cache_misses: Counter::new(),
-            flights_joined: Counter::new(),
-            shared_batch_peers: Counter::new(),
             rows_fetched: Counter::new(),
             source_requests: Counter::new(),
             retries: Counter::new(),
@@ -525,7 +508,7 @@ impl MetricsRegistry {
         self.stage_nanos[Stage::Query.index()].add(nanos(trace.root.actual));
         for span in &trace.root.children {
             self.stage_nanos[span.stage.index()].add(nanos(span.actual));
-            if matches!(span.stage, Stage::Fetch | Stage::Coalesce) {
+            if span.stage == Stage::Fetch {
                 let rows = span.rows.unwrap_or(0);
                 let slot = self.source(&span.detail);
                 slot.fetches.incr();
@@ -533,10 +516,6 @@ impl MetricsRegistry {
                 slot.latency.record_duration(span.actual);
                 self.source_requests.add(span.attr("requests").unwrap_or(0));
                 self.retries.add(span.attr("retries").unwrap_or(0));
-                self.flights_joined
-                    .add(span.attr("flights_joined").unwrap_or(0));
-                self.shared_batch_peers
-                    .add(span.attr("shared_peers").unwrap_or(0));
                 if let Some(keys) = span.attr("keys") {
                     self.batch_sizes.record(keys);
                 }
@@ -650,14 +629,6 @@ pub fn render_analyzed(plan: &PhysicalPlan, trace: &QueryTrace) -> String {
                         span.rows.unwrap_or(0),
                         span.attr("requests").unwrap_or(0),
                     );
-                    if span.stage == Stage::Coalesce {
-                        let _ = write!(
-                            out,
-                            " flights_joined={} shared_peers={}",
-                            span.attr("flights_joined").unwrap_or(0),
-                            span.attr("shared_peers").unwrap_or(0),
-                        );
-                    }
                 }
                 None => out.push_str(" | actual: not executed"),
             }
@@ -764,7 +735,6 @@ mod tests {
         fetch.rows = Some(3);
         fetch.attrs.push(("requests", 2));
         fetch.attrs.push(("keys", 4));
-        fetch.attrs.push(("flights_joined", 1));
         r.record_trace(&trace_with(vec![fetch], Some(false)));
         r.record_trace(&trace_with(vec![], Some(true)));
         assert_eq!(r.queries.get(), 2);
@@ -774,7 +744,6 @@ mod tests {
         assert!((rate - 0.5).abs() < 1e-9);
         assert_eq!(r.rows_fetched.get(), 6, "both traces report 3");
         assert_eq!(r.source_requests.get(), 2);
-        assert_eq!(r.flights_joined.get(), 1);
         assert_eq!(r.stage_nanos(Stage::Fetch), 12_000_000);
         let sources = r.sources();
         assert_eq!(sources.len(), 1);

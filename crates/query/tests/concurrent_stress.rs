@@ -1,10 +1,9 @@
-//! Tier-1 concurrency stress: 8 OS threads hammer one shared
-//! serving-enabled executor with mixed query streams, and every result
-//! must match a single-threaded replay of the same streams on a fresh
-//! executor of the same configuration. Divergence means the sharded
-//! cache, single-flight layer, or batch coalescer corrupted a result
-//! under contention; the replay also pins the lock-free cache
-//! accounting (`hits + misses == probes`).
+//! Tier-1 concurrency stress: 8 OS threads hammer one shared executor
+//! with mixed query streams, and every result must match a
+//! single-threaded replay of the same streams on a fresh executor of
+//! the same configuration. Divergence means the shared semantic cache
+//! corrupted a result under contention; the replay also pins the
+//! cache accounting (`hits + misses == probes`).
 //!
 //! Run with: `cargo test -p drugtree-query --test concurrent_stress`
 
@@ -16,7 +15,7 @@ use drugtree_integrate::overlay::OverlayBuilder;
 use drugtree_phylo::index::{LeafInterval, TreeIndex};
 use drugtree_phylo::newick::parse_newick;
 use drugtree_query::ast::Metric;
-use drugtree_query::{Dataset, Executor, Optimizer, OptimizerConfig, Query, Scope, ServeConfig};
+use drugtree_query::{Dataset, Executor, Optimizer, OptimizerConfig, Query, Scope};
 use drugtree_sources::assay_db::assay_source;
 use drugtree_sources::clock::VirtualClock;
 use drugtree_sources::federation::SourceRegistry;
@@ -183,7 +182,7 @@ fn gen_query(rng: &mut XorShift) -> Query {
         }
         3 | 4 => {
             // Aligned power-of-two intervals: many threads request the
-            // exact same clades, the single-flight/coalescer hot path.
+            // exact same clades, the shared-cache hot path.
             let span = 1u32 << rng.below(4);
             let lo = (rng.below(LEAVES as u64) as u32 / span) * span;
             LeafInterval {
@@ -265,13 +264,12 @@ fn normalize(rows: &[Vec<Value>]) -> Vec<Vec<Value>> {
     out
 }
 
-fn serving_executor(dataset: &Dataset) -> Executor {
+fn shared_executor(dataset: &Dataset) -> Executor {
     let mut config = OptimizerConfig::full();
     config.validate = true;
     let mut exec = Executor::new(Optimizer::new(config));
     exec.collect_stats(dataset).expect("stats");
     exec.build_matview(dataset).expect("matview");
-    exec.enable_serving(ServeConfig::default());
     exec
 }
 
@@ -281,7 +279,7 @@ fn eight_threads_match_single_threaded_replay() {
     let streams: Vec<Vec<Query>> = (0..THREADS).map(thread_stream).collect();
 
     // Concurrent pass: all threads share one executor.
-    let shared = Arc::new(serving_executor(&dataset));
+    let shared = Arc::new(shared_executor(&dataset));
     let mut concurrent: Vec<Vec<Vec<Vec<Value>>>> = Vec::with_capacity(THREADS);
     std::thread::scope(|scope| {
         let handles: Vec<_> = streams
@@ -309,8 +307,8 @@ fn eight_threads_match_single_threaded_replay() {
         }
     });
 
-    // Accounting invariant: the sharded cache's lock-free counters
-    // never lose a probe under contention.
+    // Accounting invariant: the cache's counters never lose a probe
+    // under contention.
     let stats = shared.cache_stats();
     assert_eq!(
         stats.hits + stats.misses,
@@ -322,7 +320,7 @@ fn eight_threads_match_single_threaded_replay() {
     // Replay pass: same streams, same configuration, fresh executor,
     // strictly single-threaded, on a fresh dataset (private clock).
     let replay_dataset = build_dataset();
-    let replay_exec = serving_executor(&replay_dataset);
+    let replay_exec = shared_executor(&replay_dataset);
     for (t, stream) in streams.iter().enumerate() {
         for (i, q) in stream.iter().enumerate() {
             let r = replay_exec

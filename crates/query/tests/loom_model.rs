@@ -1,10 +1,11 @@
-//! Loom model check for the sharded semantic cache: invalidation
+//! Loom model check for the executor's semantic cache: invalidation
 //! racing concurrent probes.
 //!
-//! Compiled only under `RUSTFLAGS="--cfg loom"` (the shard mutexes,
-//! taken via `drugtree_sources::sync`, swap for loom's instrumented
-//! types, and every schedule perturbation lands directly on the
-//! probe/invalidate interleaving). Run with:
+//! The executor holds one `SemanticCache` behind one
+//! `drugtree_sources::sync::Mutex`; this model drives the same pair.
+//! Compiled only under `RUSTFLAGS="--cfg loom"` (the mutex swaps for
+//! loom's instrumented type, and every schedule perturbation lands
+//! directly on the probe/invalidate interleaving). Run with:
 //!
 //! ```sh
 //! RUSTFLAGS="--cfg loom" cargo test -p drugtree-query --test loom_model --release
@@ -15,8 +16,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use drugtree_phylo::index::LeafInterval;
-use drugtree_query::cache::CacheConfig;
-use drugtree_query::serve::ShardedSemanticCache;
+use drugtree_query::cache::{CacheConfig, SemanticCache};
+use drugtree_sources::sync::Mutex;
 use drugtree_store::value::Value;
 use std::sync::Arc;
 
@@ -28,29 +29,28 @@ fn row(rank: i64) -> Vec<Value> {
     vec![Value::Int(rank), Value::from("x")]
 }
 
-/// An invalidation sweeping the shards races a prober hammering the
-/// same interval. Under every schedule: a hit returns the full,
-/// untorn row set (never a partially-invalidated entry), hits are
-/// monotone (once the prober observes the invalidation, the entry
-/// never resurrects), the atomic counters account for every probe,
-/// and the cache ends empty.
+/// An invalidation races a prober hammering the same interval. Under
+/// every schedule: a hit returns the full, untorn row set (never a
+/// partially-invalidated entry), hits are monotone (once the prober
+/// observes the invalidation, the entry never resurrects), the
+/// counters account for every probe, and the cache ends empty.
 #[test]
 fn invalidation_racing_probes_never_tears_results() {
     loom::model(|| {
-        let cache = Arc::new(ShardedSemanticCache::new(CacheConfig {
+        let cache = Arc::new(Mutex::new(SemanticCache::new(CacheConfig {
             max_entries: 16,
             max_rows: 1600,
-            shards: 4,
-        }));
+        })));
         let rows = vec![row(1), row(2), row(3)];
-        cache.insert(iv(0, 8), None, rows.clone());
+        cache.lock().insert(iv(0, 8), None, rows.clone());
 
         let prober = {
             let (c, expect) = (Arc::clone(&cache), rows.clone());
             loom::thread::spawn(move || {
                 let mut hits = Vec::new();
                 for _ in 0..4 {
-                    match c.probe(iv(0, 8), None) {
+                    let probe = c.lock().probe(iv(0, 8), None);
+                    match probe {
                         Some(hit) => {
                             assert_eq!(hit.rows, expect, "hit returned a torn row set");
                             hits.push(true);
@@ -63,7 +63,7 @@ fn invalidation_racing_probes_never_tears_results() {
         };
         let invalidator = {
             let c = Arc::clone(&cache);
-            loom::thread::spawn(move || c.invalidate_interval(iv(0, 8)))
+            loom::thread::spawn(move || c.lock().invalidate_interval(iv(0, 8)))
         };
 
         let hits = prober.join().unwrap();
@@ -71,13 +71,14 @@ fn invalidation_racing_probes_never_tears_results() {
 
         // Monotone: after the first miss there is no later hit —
         // nothing reinserts, so a resurrection would mean a probe saw
-        // a half-swept shard state.
+        // a half-swept cache state.
         let first_miss = hits.iter().position(|h| !h).unwrap_or(hits.len());
         assert!(
             hits[first_miss..].iter().all(|h| !h),
             "entry resurrected after invalidation: {hits:?}"
         );
 
+        let cache = cache.lock();
         let stats = cache.stats();
         assert_eq!(stats.probes, stats.hits + stats.misses);
         assert_eq!(stats.hits, hits.iter().filter(|h| **h).count() as u64);

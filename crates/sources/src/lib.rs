@@ -20,9 +20,6 @@
 //! * [`batcher`] — request coalescing: k key lookups into ⌈k/B⌉
 //!   round-trips (design decision D3).
 //! * [`federation`] — the registry the mediator resolves sources from.
-//! * [`serve`] — cross-session fetch coordination: single-flight
-//!   deduplication of identical concurrent fetches plus bounded-delay
-//!   batch coalescing across queries.
 //! * [`flaky`] — failure injection: wrap any source to fail a
 //!   deterministic fraction of requests transiently.
 //! * [`sync`] — loom-swappable lock primitives for the serving stack
@@ -39,7 +36,6 @@ pub mod latency;
 pub mod ligand_db;
 pub mod protein_db;
 pub mod sched;
-pub mod serve;
 pub mod source;
 pub mod sync;
 pub mod telemetry;

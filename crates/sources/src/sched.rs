@@ -17,7 +17,7 @@
 //! of times the consumer actually blocked — the scheduler's contention
 //! counters, reported by experiment E11 at fleet scale.
 
-use crate::sync::{Condvar, Mutex};
+use crate::sync::{Condvar, Mutex, MutexGuard};
 use crate::telemetry::Counter;
 use std::collections::VecDeque;
 
@@ -155,29 +155,11 @@ impl<T> EventQueue<T> {
         }
     }
 
-    #[cfg(loom)]
-    fn lock(&self) -> loom::sync::MutexGuard<'_, QueueState<T>> {
-        self.state.lock().expect("event queue lock")
-    }
-
-    #[cfg(not(loom))]
-    fn lock(&self) -> parking_lot::MutexGuard<'_, QueueState<T>> {
+    fn lock(&self) -> MutexGuard<'_, QueueState<T>> {
         self.state.lock()
     }
 
-    #[cfg(loom)]
-    fn wait<'a>(
-        &self,
-        guard: loom::sync::MutexGuard<'a, QueueState<T>>,
-    ) -> loom::sync::MutexGuard<'a, QueueState<T>> {
-        self.ready.wait(guard).expect("event queue condvar")
-    }
-
-    #[cfg(not(loom))]
-    fn wait<'a>(
-        &self,
-        mut guard: parking_lot::MutexGuard<'a, QueueState<T>>,
-    ) -> parking_lot::MutexGuard<'a, QueueState<T>> {
+    fn wait<'a>(&self, mut guard: MutexGuard<'a, QueueState<T>>) -> MutexGuard<'a, QueueState<T>> {
         self.ready.wait(&mut guard);
         guard
     }

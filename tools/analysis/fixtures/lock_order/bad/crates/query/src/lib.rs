@@ -1,16 +1,15 @@
 // Seeded violations for the lock-order pass. The path mimics the real
-// sources crate so class names land in the canonical order's
-// namespace (`sources:batches`, `sources:state`).
+// query crate so class names land in the canonical order's namespace
+// (`query:cache`, `query:per_source`).
 
-impl Coordinator {
-    // BAD (canonical reversal): the canonical order ranks batches
-    // before state, so taking batches under a live state guard runs
-    // backwards through it.
-    fn close_wrong_order(&self, slot: &BatchSlot) {
-        let mut st = slot.state.lock();
-        let mut batches = self.batches.lock();
-        st.phase = Phase::Done;
-        batches.remove(&self.key);
+impl Executor {
+    // BAD (canonical reversal): the canonical order ranks the cache
+    // before the per-source metrics, so taking the cache under a live
+    // per-source guard runs backwards through it.
+    fn record_wrong_order(&self, name: &str) -> usize {
+        let sources = self.per_source.read();
+        let cache = self.cache.lock();
+        sources.len() + cache.len()
     }
 }
 

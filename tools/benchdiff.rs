@@ -16,9 +16,12 @@
 //! now.) A candidate worse than baseline by more than the relative
 //! threshold
 //! on any compared cell is a regression and the exit code is 1. A
-//! baseline table with no counterpart file in the candidate tree is a
-//! coverage failure, not a skip: it exits 3 so CI can distinguish "got
-//! slower" from "the gate never looked". Usage and I/O errors exit 2.
+//! baseline table with no counterpart file in the candidate tree, or
+//! one whose structure changed (headers, row count, or a row's label
+//! cells), is a coverage failure, not a skip: it exits 3 so CI can
+//! distinguish "got slower" from "the gate never looked". Usage and
+//! I/O errors exit 2. A deliberate structure change means regenerating
+//! the committed baseline in the same change.
 //!
 //! CI runs the quick experiment suite into a scratch directory and
 //! gates it against the committed `bench_results/quick/` baselines.
@@ -92,16 +95,18 @@ const MIN_BASE: f64 = 0.05;
 /// Exit codes, kept distinct so CI can tell "the candidate got slower"
 /// (fix the code) from "the gate lost coverage" (fix the harness):
 /// 0 clean, 1 regression past threshold, 2 usage or I/O error,
-/// 3 baseline table(s) missing from the candidate tree.
+/// 3 baseline table(s) missing from the candidate tree or changed in
+/// structure.
 const EXIT_REGRESSION: u8 = 1;
 const EXIT_ERROR: u8 = 2;
 const EXIT_MISSING_BASELINE: u8 = 3;
 
 /// Map what the diff found to an exit code. Lost coverage outranks a
 /// regression verdict: a "pass" that silently skipped tables is the
-/// more dangerous lie.
-fn verdict(missing: usize, regressions: usize) -> u8 {
-    if missing > 0 {
+/// more dangerous lie. `uncovered` counts missing tables plus tables
+/// whose structure changed.
+fn verdict(uncovered: usize, regressions: usize) -> u8 {
+    if uncovered > 0 {
         EXIT_MISSING_BASELINE
     } else if regressions > 0 {
         EXIT_REGRESSION
@@ -121,25 +126,42 @@ struct Regression {
     ratio: f64,
 }
 
-/// Compare two parsed tables; returns regressions past `threshold`.
-fn compare_tables(baseline: &Table, candidate: &Table, threshold: f64) -> Vec<Regression> {
-    let mut regressions = Vec::new();
-    if baseline.headers != candidate.headers || baseline.rows.len() != candidate.rows.len() {
-        eprintln!(
-            "note: {} structure changed (headers or row count); skipping",
-            baseline.id
-        );
-        return regressions;
+/// Compare two parsed tables; returns regressions past `threshold`,
+/// or why the tables cannot be compared cell by cell. A row's label is
+/// its leading run of non-metric columns (`class`, or `sessions` plus
+/// `mode`), so a renamed, removed or reordered row is caught even when
+/// the row count stays the same.
+fn compare_tables(
+    baseline: &Table,
+    candidate: &Table,
+    threshold: f64,
+) -> Result<Vec<Regression>, String> {
+    if baseline.headers != candidate.headers {
+        return Err("headers changed".to_string());
     }
+    if baseline.rows.len() != candidate.rows.len() {
+        return Err(format!(
+            "row count changed ({} -> {})",
+            baseline.rows.len(),
+            candidate.rows.len()
+        ));
+    }
+    let label_cols = baseline
+        .headers
+        .iter()
+        .take_while(|h| direction(h) == Direction::Skip)
+        .count()
+        .max(1);
+    let mut regressions = Vec::new();
     for (base_row, cand_row) in baseline.rows.iter().zip(&candidate.rows) {
-        let label = base_row.first().cloned().unwrap_or_default();
-        if base_row.first() != cand_row.first() {
-            eprintln!(
-                "note: {} row labels diverge ({label:?}); skipping row",
-                baseline.id
-            );
-            continue;
+        let base_label = &base_row[..label_cols.min(base_row.len())];
+        let cand_label = &cand_row[..label_cols.min(cand_row.len())];
+        if base_label != cand_label {
+            return Err(format!(
+                "row labels diverge ({base_label:?} -> {cand_label:?})"
+            ));
         }
+        let label = base_label.join(" ");
         for (i, header) in baseline.headers.iter().enumerate() {
             let dir = direction(header);
             if dir == Direction::Skip {
@@ -171,7 +193,7 @@ fn compare_tables(baseline: &Table, candidate: &Table, threshold: f64) -> Vec<Re
             }
         }
     }
-    regressions
+    Ok(regressions)
 }
 
 fn load_table(path: &Path) -> Result<Table, String> {
@@ -193,6 +215,7 @@ fn json_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
 fn run(baseline_dir: &Path, candidate_dir: &Path, threshold: f64) -> Result<ExitCode, String> {
     let mut regressions = Vec::new();
     let mut missing: Vec<PathBuf> = Vec::new();
+    let mut changed: Vec<String> = Vec::new();
     let mut compared = 0usize;
     for base_path in json_files(baseline_dir)? {
         let Some(name) = base_path.file_name() else {
@@ -205,10 +228,15 @@ fn run(baseline_dir: &Path, candidate_dir: &Path, threshold: f64) -> Result<Exit
         }
         let baseline = load_table(&base_path)?;
         let candidate = load_table(&cand_path)?;
-        compared += 1;
-        regressions.extend(compare_tables(&baseline, &candidate, threshold));
+        match compare_tables(&baseline, &candidate, threshold) {
+            Ok(found) => {
+                compared += 1;
+                regressions.extend(found);
+            }
+            Err(why) => changed.push(format!("{} ({}): {why}", baseline.id, base_path.display())),
+        }
     }
-    if compared == 0 && missing.is_empty() {
+    if compared == 0 && missing.is_empty() && changed.is_empty() {
         return Err(format!(
             "no comparable result files between {} and {}",
             baseline_dir.display(),
@@ -243,7 +271,17 @@ fn run(baseline_dir: &Path, candidate_dir: &Path, threshold: f64) -> Result<Exit
             eprintln!("  missing: {}", path.display());
         }
     }
-    match verdict(missing.len(), regressions.len()) {
+    if !changed.is_empty() {
+        eprintln!(
+            "error: {} table(s) changed structure, so the gate could not compare them \
+             — regenerate the baseline if the change is deliberate:",
+            changed.len()
+        );
+        for table in &changed {
+            eprintln!("  changed: {table}");
+        }
+    }
+    match verdict(missing.len() + changed.len(), regressions.len()) {
         0 => {
             println!(
                 "benchdiff: {compared} table(s) compared, no regression past {:.0}%",
@@ -333,12 +371,12 @@ mod tests {
         let headers = ["class", "opt mean", "speedup"];
         let base = table("E1", &headers, &[&["listing", "10.0ms", "100.0x"]]);
         let cand = table("E1", &headers, &[&["listing", "12.0ms", "100.0x"]]);
-        let found = compare_tables(&base, &cand, 0.10);
+        let found = compare_tables(&base, &cand, 0.10).unwrap();
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].column, "opt mean");
         assert!((found[0].ratio - 0.2).abs() < 1e-9);
         // The same 20% move is fine under a 25% threshold.
-        assert!(compare_tables(&base, &cand, 0.25).is_empty());
+        assert!(compare_tables(&base, &cand, 0.25).unwrap().is_empty());
     }
 
     #[test]
@@ -347,8 +385,8 @@ mod tests {
         let base = table("E1", &headers, &[&["listing", "100.0x"]]);
         let slower = table("E1", &headers, &[&["listing", "80.0x"]]);
         let faster = table("E1", &headers, &[&["listing", "140.0x"]]);
-        assert_eq!(compare_tables(&base, &slower, 0.10).len(), 1);
-        assert!(compare_tables(&base, &faster, 0.10).is_empty());
+        assert_eq!(compare_tables(&base, &slower, 0.10).unwrap().len(), 1);
+        assert!(compare_tables(&base, &faster, 0.10).unwrap().is_empty());
     }
 
     #[test]
@@ -357,12 +395,12 @@ mod tests {
         // Noise-floor baselines never flag...
         let base = table("E11", &headers, &[&["8", "per-session-opt", "0.01"]]);
         let cand = table("E11", &headers, &[&["8", "per-session-opt", "0.04"]]);
-        assert!(compare_tables(&base, &cand, 0.10).is_empty());
+        assert!(compare_tables(&base, &cand, 0.10).unwrap().is_empty());
         // ...but shared-fleet rows are ordinary gated rows now: the
         // event scheduler made them deterministic.
         let base = table("E11", &headers, &[&["1024", "fleet", "10.0ms"]]);
         let cand = table("E11", &headers, &[&["1024", "fleet", "99.0ms"]]);
-        assert_eq!(compare_tables(&base, &cand, 0.10).len(), 1);
+        assert_eq!(compare_tables(&base, &cand, 0.10).unwrap().len(), 1);
     }
 
     #[test]
@@ -383,10 +421,40 @@ mod tests {
     }
 
     #[test]
+    fn changed_structure_is_lost_coverage_not_a_skip() {
+        let headers = ["sessions", "mode", "p95"];
+        let base = table(
+            "E11",
+            &headers,
+            &[&["256", "shards=8", "10.0ms"], &["256", "sla", "20.0ms"]],
+        );
+        // A removed row changes the row count.
+        let fewer = table("E11", &headers, &[&["256", "sla", "20.0ms"]]);
+        assert!(compare_tables(&base, &fewer, 0.10).is_err());
+        // A replaced row keeps the count but diverges in its label,
+        // including a label column past the first.
+        let relabeled = table(
+            "E11",
+            &headers,
+            &[&["256", "shards=1", "10.0ms"], &["256", "sla", "20.0ms"]],
+        );
+        assert!(compare_tables(&base, &relabeled, 0.10).is_err());
+        // Changed headers.
+        let renamed = table(
+            "E11",
+            &["sessions", "mode", "p99"],
+            &[&["256", "shards=8", "10.0ms"], &["256", "sla", "20.0ms"]],
+        );
+        assert!(compare_tables(&base, &renamed, 0.10).is_err());
+        // Every such table counts as uncovered: exit 3, not a pass.
+        assert_eq!(verdict(1, 0), EXIT_MISSING_BASELINE);
+    }
+
+    #[test]
     fn identical_tables_have_no_regressions() {
         let headers = ["class", "opt mean"];
         let base = table("E1", &headers, &[&["listing", "10.0ms"]]);
         let same = table("E1", &headers, &[&["listing", "10.0ms"]]);
-        assert!(compare_tables(&base, &same, 0.10).is_empty());
+        assert!(compare_tables(&base, &same, 0.10).unwrap().is_empty());
     }
 }
