@@ -12,7 +12,7 @@ use drugtree::prelude::*;
 use drugtree_mobile::layout::TreeLayout;
 use drugtree_mobile::lod::render_visible;
 use drugtree_mobile::viewport::Viewport;
-use drugtree_query::matview::MaterializedAggregates;
+use drugtree_query::ActivityColumns;
 use std::hint::black_box;
 
 fn bench_parser(c: &mut Criterion) {
@@ -58,12 +58,12 @@ fn bench_planning_and_execution(c: &mut Criterion) {
     });
 }
 
-fn bench_matview(c: &mut Criterion) {
+fn bench_mirror_build(c: &mut Criterion) {
     let bundle =
         SyntheticBundle::generate(&WorkloadSpec::default().leaves(1024).ligands(64).seed(43));
     let dataset = bundle.build_dataset();
-    c.bench_function("matview/build_1024_leaves", |b| {
-        b.iter(|| MaterializedAggregates::build(black_box(&dataset)).unwrap());
+    c.bench_function("columnar/build_1024_leaves", |b| {
+        b.iter(|| ActivityColumns::build(black_box(&dataset)).unwrap());
     });
 }
 
@@ -91,7 +91,7 @@ criterion_group!(
     benches,
     bench_parser,
     bench_planning_and_execution,
-    bench_matview,
+    bench_mirror_build,
     bench_mobile_render
 );
 criterion_main!(benches);

@@ -1,14 +1,15 @@
 //! The auto-materialization advisor.
 //!
-//! Folds slow-path *matview-answerable* queries (aggregate finishes
-//! the planner had to execute without a materialized view) into
+//! Folds slow-path *matview-answerable* queries (pure whole-clade
+//! aggregates the planner had to execute without a columnar mirror
+//! to answer them) into
 //! per-shape cumulative foregone cost — dedup count × charged latency,
 //! the same arithmetic `drugtree top` renders from the slow-log. Once
 //! the cumulative foregone cost crosses the measured break-even (the
 //! E7 trade: one build scan vs the hits it saves), the advisor tells
-//! the runtime to build the view. Afterwards it tracks amortization —
-//! build cost vs latency actually saved by hits — and flags views that
-//! never pay off for eviction.
+//! the runtime to build the mirror. Afterwards it tracks amortization —
+//! build cost vs latency actually saved by hits — and flags a mirror
+//! that never pays off for eviction.
 
 use rustc_hash::FxHashMap;
 use std::time::Duration;

@@ -9,8 +9,8 @@
 //!   shrink from measured data, with virtual-clock staleness.
 //! * [`advisor`] — slow matview-answerable shapes accumulate foregone
 //!   cost (dedup count × charged latency); past the E7 break-even the
-//!   aggregate view is built automatically, amortization is tracked,
-//!   and never-paying-off views are evicted.
+//!   columnar mirror is built automatically to answer aggregates,
+//!   amortization is tracked, and never-paying-off mirrors are evicted.
 //! * adaptive prefetch lives in the mobile crate (per-session gesture
 //!   classification), but reports its policy switches here so they
 //!   flow into the same `adapt` event stream.
@@ -36,8 +36,8 @@ pub use learned::{LearnedConfig, LearnedSnapshot, LearnedStats};
 pub use regret::{RegretConfig, RegretTracker, RegretVerdict};
 pub use seam::{SelectivitySource, StatsView};
 
+use crate::columnar::ActivityColumns;
 use crate::dataset::Dataset;
-use crate::matview::MaterializedAggregates;
 use crate::obs::export::AdaptDecision;
 use crate::obs::{Sink, TraceExport};
 use crate::Result;
@@ -78,17 +78,17 @@ pub struct QueryFeedback<'q> {
     /// provably-non-matching leaves drop), so a nonzero count does not
     /// disqualify the cardinality sample; it is carried for reports.
     pub pruned_leaves: u32,
-    /// The query had an aggregate finish a materialized view could
-    /// have answered, but none was installed.
+    /// The query had an aggregate finish the mirror could have
+    /// answered, but none was installed.
     pub matview_candidate: bool,
-    /// The query *was* served by the adaptively-built view.
+    /// The query *was* served by the adaptively-built mirror.
     pub served_by_adaptive: bool,
     /// Plan-shape fingerprint (the advisor's dedup key).
     pub fingerprint: u64,
     /// Charged latency of this query.
     pub charged: Duration,
     /// Measured break-even proxy: the cost of one full source scan
-    /// (what building the view costs), from the stats collection pass.
+    /// (what building the mirror costs), from the stats collection pass.
     pub break_even_proxy: Duration,
 }
 
@@ -105,7 +105,7 @@ pub struct AdaptiveSnapshot {
     pub frozen: bool,
     /// Whether learned statistics are currently feeding the planner.
     pub learned_active: bool,
-    /// Whether an adaptively-built view is currently installed.
+    /// Whether an adaptively-built mirror is currently installed.
     pub view_built: bool,
     /// Prefetch policy switches reported by mobile sessions.
     pub prefetch_switches: u64,
@@ -116,7 +116,7 @@ const ARM_LEARNED: &str = "learned-stats";
 const ARM_MATVIEW: &str = "matview";
 
 /// The self-driving runtime: owns the learned statistics, the
-/// adaptively-built view, the advisor and regret ledgers, and the
+/// adaptively-built mirror, the advisor and regret ledgers, and the
 /// `adapt` event exporter.
 ///
 /// Thread-safe and interior-mutable; the executor holds it in an
@@ -128,7 +128,7 @@ pub struct AdaptiveRuntime {
     frozen: AtomicBool,
     learned_enabled: AtomicBool,
     learned: LearnedStats,
-    view: RwLock<Option<Arc<MaterializedAggregates>>>,
+    mirror: RwLock<Option<Arc<ActivityColumns>>>,
     advisor: Mutex<MatviewAdvisor>,
     regret: Mutex<RegretTracker>,
     /// Columns whose learned coverage has been announced (one `apply`
@@ -154,7 +154,7 @@ impl AdaptiveRuntime {
             frozen: AtomicBool::new(config.frozen),
             learned_enabled: AtomicBool::new(true),
             learned: LearnedStats::new(config.learned),
-            view: RwLock::new(None),
+            mirror: RwLock::new(None),
             advisor: Mutex::new(MatviewAdvisor::new(config.advisor)),
             regret: Mutex::new(RegretTracker::new(config.regret)),
             announced: Mutex::new(FxHashSet::default()),
@@ -195,13 +195,13 @@ impl AdaptiveRuntime {
         &self.learned
     }
 
-    /// The adaptively-built aggregate view, when one is installed and
-    /// the runtime is not frozen.
-    pub fn view(&self) -> Option<Arc<MaterializedAggregates>> {
+    /// The adaptively-built mirror answering aggregates, when one is
+    /// installed and the runtime is not frozen.
+    pub fn mirror(&self) -> Option<Arc<ActivityColumns>> {
         if self.frozen() {
             return None;
         }
-        self.view.read().clone()
+        self.mirror.read().clone()
     }
 
     /// Counters and state across all loops.
@@ -216,14 +216,14 @@ impl AdaptiveRuntime {
             reverts,
             frozen: self.frozen(),
             learned_active: self.learned_enabled.load(Ordering::Relaxed),
-            view_built: self.view.read().is_some(),
+            view_built: self.mirror.read().is_some(),
             prefetch_switches: self.prefetch_switches.load(Ordering::Relaxed),
         }
     }
 
     /// Fold one executed query back into the loops: learn the observed
     /// cardinality, advance the advisor's break-even ledger (building
-    /// the view when it crosses — the build scan is charged to the
+    /// the mirror when it crosses — the build scan is charged to the
     /// virtual clock), check eviction, and let the regret guardrail
     /// judge every active adaptation.
     ///
@@ -285,7 +285,7 @@ impl AdaptiveRuntime {
     }
 
     /// Auto-materialization loop: accumulate foregone cost, build past
-    /// break-even, credit hits, evict never-paying-off views.
+    /// break-even, credit hits, evict never-paying-off mirrors.
     fn drive_matview(
         &self,
         dataset: &Dataset,
@@ -314,13 +314,13 @@ impl AdaptiveRuntime {
             );
             let foregone = advisor.snapshot().foregone;
             drop(advisor);
-            let view_missing = self.view.read().is_none();
-            if should_build && view_missing {
-                let built = Arc::new(MaterializedAggregates::build(dataset)?);
+            let mirror_missing = self.mirror.read().is_none();
+            if should_build && mirror_missing {
+                let built = Arc::new(ActivityColumns::build(dataset)?);
                 let build_cost = built.build_cost;
                 dataset.clock.advance(build_cost);
                 let built_at = dataset.clock.now().0;
-                *self.view.write() = Some(built);
+                *self.mirror.write() = Some(built);
                 let mut advisor = self.advisor.lock();
                 advisor.record_build(built_at, build_cost);
                 let mean_before = advisor
@@ -347,7 +347,7 @@ impl AdaptiveRuntime {
                 });
             }
         }
-        // Eviction: a built view that served nothing for the idle
+        // Eviction: a built mirror that served nothing for the idle
         // window never paid off.
         let evict = self.advisor.lock().should_evict(now_ns);
         if evict {
@@ -355,7 +355,7 @@ impl AdaptiveRuntime {
             let snap = advisor.snapshot();
             advisor.record_evict();
             drop(advisor);
-            *self.view.write() = None;
+            *self.mirror.write() = None;
             self.emit(AdaptDecision {
                 at_ns: now_ns,
                 loop_name: ARM_MATVIEW.to_string(),
@@ -399,7 +399,7 @@ impl AdaptiveRuntime {
                     self.learned.clear();
                 }
                 _ => {
-                    *self.view.write() = None;
+                    *self.mirror.write() = None;
                     self.advisor.lock().record_evict();
                 }
             }
@@ -529,7 +529,7 @@ mod tests {
         assert_eq!(snap.learned.observations, 0);
         assert!(!snap.view_built);
         assert!(rt.planning_stats().is_none());
-        assert!(rt.view().is_none());
+        assert!(rt.mirror().is_none());
         rt.note_prefetch_switch(Some(1), "lateral", true, 0);
         assert_eq!(rt.snapshot().prefetch_switches, 0);
     }
@@ -546,10 +546,10 @@ mod tests {
         fb.break_even_proxy = ms(30);
         // 20ms + 20ms crosses the 30ms break-even on the second query.
         rt.after_query(&d, &fb, || "agg-shape".into()).unwrap();
-        assert!(rt.view().is_none());
+        assert!(rt.mirror().is_none());
         let clock_before = d.clock.now();
         rt.after_query(&d, &fb, || "agg-shape".into()).unwrap();
-        assert!(rt.view().is_some(), "view built past break-even");
+        assert!(rt.mirror().is_some(), "view built past break-even");
         assert!(
             d.clock.now() > clock_before,
             "the build scan is charged to the virtual clock"
@@ -588,13 +588,13 @@ mod tests {
         fb.matview_candidate = true;
         fb.charged = ms(20);
         rt.after_query(&d, &fb, || "agg".into()).unwrap();
-        assert!(rt.view().is_some());
+        assert!(rt.mirror().is_some());
         // No hits arrive; the clock drifts past the idle window and a
         // later (non-candidate) query triggers the eviction check.
         d.clock.advance(ms(60));
         rt.after_query(&d, &feedback(None), || "other".into())
             .unwrap();
-        assert!(rt.view().is_none(), "idle view evicted");
+        assert!(rt.mirror().is_none(), "idle view evicted");
         assert_eq!(rt.snapshot().advisor.evictions, 1);
         assert!(sink
             .lines()

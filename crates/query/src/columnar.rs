@@ -14,10 +14,16 @@
 //! [`unify_assay_row`], cross-source most-recent dedupe, rank sort — so
 //! a columnar scan plus the executor's unchanged residual/finish stages
 //! returns the same rows a federated fetch would. Staleness is
-//! detected the same way the materialized aggregate view does it:
-//! record counts per source at build time.
+//! detected by comparing record counts per source with those at build
+//! time.
+//!
+//! The mirror is also the only aggregate store: a pure whole-clade
+//! aggregate ([`Access::MaterializedView`]) folds each child's row
+//! range with the sum/count/max/distinct kernels. Summing in rank
+//! order over deduped rows gives the fetch path's answer bit for bit.
 //!
 //! [`Access::ColumnarScan`]: crate::plan::Access::ColumnarScan
+//! [`Access::MaterializedView`]: crate::plan::Access::MaterializedView
 
 use crate::dataset::{activity_half_schema, unify_assay_row, Dataset};
 use crate::exec::dedupe_most_recent;

@@ -12,7 +12,6 @@ use crate::cache::{CacheConfig, CacheStats, SemanticCache};
 use crate::columnar::ActivityColumns;
 use crate::cost::{CalibrationReport, CostModel};
 use crate::dataset::{unified_schema, unify_assay_row, Dataset};
-use crate::matview::MaterializedAggregates;
 use crate::optimizer::Optimizer;
 use crate::plan::{Access, FetchPlan, Finish, PhysicalPlan};
 use crate::stats::OverlayStats;
@@ -21,7 +20,6 @@ use crate::{QueryError, Result};
 use drugtree_chem::similarity::tanimoto;
 use drugtree_integrate::overlay::tables;
 use drugtree_phylo::index::LeafInterval;
-use drugtree_phylo::tree::NodeId;
 pub use drugtree_sources::batcher::RetryPolicy;
 use drugtree_sources::batcher::{
     batched_lookup_with_retry, singleton_lookups_with_retry, Dispatch,
@@ -86,7 +84,17 @@ pub struct QueryResult {
     pub metrics: ExecMetrics,
 }
 
-/// The executor: optimizer + semantic cache + statistics + views.
+/// Which queries the executor's columnar mirror may answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum MirrorScope {
+    /// Pure whole-clade aggregates only ([`Access::MaterializedView`]).
+    Aggregates,
+    /// Every interval scope ([`Access::ColumnarScan`]), and the
+    /// aggregates above.
+    Intervals,
+}
+
+/// The executor: optimizer + semantic cache + statistics + mirror.
 ///
 /// `Send + Sync` by construction: every mutable piece sits behind a
 /// lock or an `Arc`, so M sessions can share one executor from real OS
@@ -96,8 +104,8 @@ pub struct Executor {
     optimizer: Optimizer,
     cache: Mutex<SemanticCache>,
     stats: Option<OverlayStats>,
-    matview: Option<MaterializedAggregates>,
-    columnar: Option<ActivityColumns>,
+    /// The one local answer store, with the scope it may answer.
+    mirror: Option<(Arc<ActivityColumns>, MirrorScope)>,
     retry: RetryPolicy,
     /// Calibrated cost model: prices plan alternatives in cost-based
     /// mode and accumulates observed-vs-estimated fetch latencies.
@@ -130,8 +138,7 @@ impl Executor {
             optimizer,
             cache: Mutex::new(SemanticCache::new(cache)),
             stats: None,
-            matview: None,
-            columnar: None,
+            mirror: None,
             retry: RetryPolicy::default(),
             cost: Arc::new(CostModel::new()),
             observer: None,
@@ -141,7 +148,7 @@ impl Executor {
 
     /// Install the self-driving runtime (design decision D15): learned
     /// statistics start feeding selectivity estimates, the advisor may
-    /// auto-build the aggregate view, and every executed query is
+    /// auto-build a mirror for aggregates, and every executed query is
     /// folded back into the loops.
     pub fn enable_adaptive(&mut self, runtime: Arc<AdaptiveRuntime>) {
         self.adaptive = Some(runtime);
@@ -188,9 +195,7 @@ impl Executor {
     /// executing it (the mobile prefetch budgeter prices candidate
     /// subtrees this way).
     pub fn estimate(&self, dataset: &Dataset, query: &Query) -> Result<PlanEstimate> {
-        let adaptive_view = self.adaptive_view();
-        let view = self.matview.as_ref().or(adaptive_view.as_deref());
-        let plan = self.plan_query(dataset, view, query)?;
+        let plan = self.plan_query(dataset, self.aggregate_mirror().as_deref(), query)?;
         Ok(PlanEstimate {
             cost: plan.estimated_cost,
             rows: plan.estimated_rows,
@@ -211,31 +216,42 @@ impl Executor {
         Ok(())
     }
 
-    /// Build (or rebuild) the materialized aggregate view. Charges the
-    /// build scan to the dataset clock.
+    /// Build (or rebuild) the columnar activity mirror and let it
+    /// answer pure whole-clade aggregates (the `use_matview` rule). A
+    /// mirror already answering every interval scope keeps that scope.
+    /// Charges the build scan to the dataset clock.
+    ///
+    /// The benchmark harness under `perfbench/` calls this method by
+    /// name, so it stays until that harness changes;
+    /// [`Executor::build_columnar`] builds the same mirror with the
+    /// wider scope.
     pub fn build_matview(&mut self, dataset: &Dataset) -> Result<Duration> {
-        let view = MaterializedAggregates::build(dataset)?;
-        let cost = view.build_cost;
-        dataset.clock.advance(cost);
-        self.matview = Some(view);
-        Ok(cost)
+        self.build_mirror(dataset, MirrorScope::Aggregates)
     }
 
-    /// Build (or rebuild) the columnar activity mirror. Charges the
-    /// build scan to the dataset clock. With a fresh mirror and the
-    /// `columnar_scan` rule enabled, interval scopes execute as local
-    /// vectorized kernel scans instead of source fetches.
+    /// Build (or rebuild) the columnar activity mirror and let it
+    /// answer every interval scope. Charges the build scan to the
+    /// dataset clock. With a fresh mirror and the `columnar_scan` rule
+    /// enabled, interval scopes execute as local vectorized kernel
+    /// scans instead of source fetches.
     pub fn build_columnar(&mut self, dataset: &Dataset) -> Result<Duration> {
+        self.build_mirror(dataset, MirrorScope::Intervals)
+    }
+
+    /// Build the mirror, widening (never narrowing) the scope it may
+    /// answer.
+    fn build_mirror(&mut self, dataset: &Dataset, scope: MirrorScope) -> Result<Duration> {
         let mirror = ActivityColumns::build(dataset)?;
         let cost = mirror.build_cost;
         dataset.clock.advance(cost);
-        self.columnar = Some(mirror);
+        let scope = self.mirror.as_ref().map_or(scope, |(_, s)| scope.max(*s));
+        self.mirror = Some((Arc::new(mirror), scope));
         Ok(cost)
     }
 
-    /// The columnar activity mirror, if built.
+    /// The columnar activity mirror, if built (whatever its scope).
     pub fn columnar(&self) -> Option<&ActivityColumns> {
-        self.columnar.as_ref()
+        self.mirror.as_ref().map(|(m, _)| m.as_ref())
     }
 
     /// Drop all cached results (call after a source refresh).
@@ -264,24 +280,33 @@ impl Executor {
         &self.optimizer
     }
 
-    /// The adaptively-built aggregate view, consulted only when no
-    /// explicitly built view is installed (an explicit build always
-    /// wins, so enabling the adaptive layer cannot change a session
-    /// that manages its own views).
-    fn adaptive_view(&self) -> Option<Arc<MaterializedAggregates>> {
-        if self.matview.is_some() {
-            return None;
+    /// The mirror that answers pure aggregates: the executor's own at
+    /// either scope, else the adaptively-built one (an explicit build
+    /// always wins, so enabling the adaptive layer cannot change a
+    /// session that manages its own mirror).
+    fn aggregate_mirror(&self) -> Option<Arc<ActivityColumns>> {
+        match &self.mirror {
+            Some((m, _)) => Some(Arc::clone(m)),
+            None => self.adaptive.as_ref().and_then(|a| a.mirror()),
         }
-        self.adaptive.as_ref().and_then(|a| a.view())
+    }
+
+    /// The mirror that answers every interval scope, if any.
+    fn interval_mirror(&self) -> Option<&ActivityColumns> {
+        match &self.mirror {
+            Some((m, MirrorScope::Intervals)) => Some(m),
+            _ => None,
+        }
     }
 
     /// Plan through the adaptive seam: learned statistics (when the
-    /// runtime serves them) feed selectivity, and `view` is whichever
-    /// aggregate view — explicit or adaptively built — should answer.
+    /// runtime serves them) feed selectivity, and `aggregates` is
+    /// whichever mirror — explicit or adaptively built — answers pure
+    /// aggregates.
     fn plan_query(
         &self,
         dataset: &Dataset,
-        view: Option<&MaterializedAggregates>,
+        aggregates: Option<&ActivityColumns>,
         query: &Query,
     ) -> Result<PhysicalPlan> {
         let learned = self.adaptive.as_ref().and_then(|a| a.planning_stats());
@@ -290,8 +315,8 @@ impl Executor {
             self.stats.as_ref(),
             learned,
             dataset.clock.now().0,
-            view,
-            self.columnar.as_ref(),
+            aggregates,
+            self.interval_mirror(),
             Some(&self.cost),
             query,
         )
@@ -299,9 +324,7 @@ impl Executor {
 
     /// EXPLAIN a query without executing it.
     pub fn explain(&self, dataset: &Dataset, query: &Query) -> Result<String> {
-        let adaptive_view = self.adaptive_view();
-        let view = self.matview.as_ref().or(adaptive_view.as_deref());
-        let plan = self.plan_query(dataset, view, query)?;
+        let plan = self.plan_query(dataset, self.aggregate_mirror().as_deref(), query)?;
         self.validate_plan(dataset, &plan)?;
         Ok(plan.explain())
     }
@@ -362,11 +385,10 @@ impl Executor {
         query: &Query,
         mut sink: Option<&mut TraceBuilder>,
     ) -> Result<QueryResult> {
-        let adaptive_view = self.adaptive_view();
-        let view = self.matview.as_ref().or(adaptive_view.as_deref());
-        let plan = self.plan_query(dataset, view, query)?;
+        let aggregates = self.aggregate_mirror();
+        let plan = self.plan_query(dataset, aggregates.as_deref(), query)?;
         self.validate_plan(dataset, &plan)?;
-        let served_by_adaptive = adaptive_view.is_some() && plan.access == Access::MaterializedView;
+        let served_by_adaptive = self.mirror.is_none() && plan.access == Access::MaterializedView;
         let started = dataset.clock.now();
         if let Some(tb) = sink.as_deref_mut() {
             tb.record_plan(&plan, started);
@@ -386,45 +408,98 @@ impl Executor {
             notes: plan.notes.clone(),
         };
 
-        // Columnar aggregate fast path: a pure whole-row aggregate over
-        // the mirror needs no row materialization at all — the
-        // sum/count/max kernels fold each child's selected range
-        // directly from the column buffers.
-        if let Access::ColumnarScan { pushdown } = &plan.access {
-            if let Finish::AggregateChildren { children, metric } = &plan.finish {
-                if !matches!(metric, Metric::DistinctLigands)
-                    && plan.residual == Predicate::True
-                    && plan.similarity.is_none()
-                    && plan.substructure.is_none()
-                    && !plan.ligand_join
-                {
-                    return self.columnar_aggregate(
-                        dataset,
-                        &plan,
-                        pushdown.as_ref(),
-                        children,
-                        *metric,
-                        m,
-                        sink,
-                    );
-                }
+        // A pure aggregate over the mirror needs no row
+        // materialization: the aggregate kernels fold each child's
+        // range straight from the column buffers.
+        let pure_aggregate = matches!(plan.finish, Finish::AggregateChildren { .. })
+            && plan.residual == Predicate::True
+            && plan.similarity.is_none()
+            && plan.substructure.is_none();
+        let mirror = match &plan.access {
+            Access::MaterializedView => aggregates.as_deref(),
+            Access::ColumnarScan { .. } => self.interval_mirror(),
+            _ => None,
+        };
+        let (columns, out_rows, rows_in) = match mirror {
+            Some(cols) if pure_aggregate => {
+                self.columnar_aggregate(dataset, cols, &plan, &mut m, sink)?
             }
+            _ => self.row_path(dataset, &plan, &mut m, sink)?,
+        };
+
+        m.finished = dataset.clock.now();
+        m.virtual_cost = m.finished.since(m.started);
+
+        // Close the loop: fold this query's observed reality back into
+        // the adaptive runtime (learned cardinalities, the advisor's
+        // break-even ledger, the regret guardrail).
+        if let Some(adaptive) = &self.adaptive {
+            // A mirror-answerable aggregate the view access did not
+            // serve: the same gate `use_matview` applies, minus mirror
+            // presence.
+            let matview_candidate = plan.access != Access::MaterializedView
+                && pure_aggregate
+                && plan.interval == dataset.index.interval(plan.scope_node);
+            let feedback = QueryFeedback {
+                pushed_local: plan.pushed_local.as_ref(),
+                interval_rows: self
+                    .stats
+                    .as_ref()
+                    .map_or(0, |s| s.interval_count(plan.interval)),
+                observed_rows: rows_in,
+                pruned_leaves: plan.pruned_leaves as u32,
+                matview_candidate,
+                served_by_adaptive,
+                fingerprint: crate::obs::plan_fingerprint(&plan),
+                charged: m.charged_cost,
+                break_even_proxy: self
+                    .stats
+                    .as_ref()
+                    .map_or(Duration::ZERO, |s| s.collection_cost),
+            };
+            adaptive.after_query(dataset, &feedback, || crate::obs::plan_shape(&plan))?;
         }
 
+        Ok(QueryResult {
+            columns,
+            rows: out_rows,
+            metrics: m,
+        })
+    }
+
+    /// The row path: obtain activity rows from the plan's access, widen
+    /// them, apply the residual and structural filters, and finish.
+    /// Returns the result columns and rows plus the number of rows the
+    /// access produced.
+    fn row_path(
+        &self,
+        dataset: &Dataset,
+        plan: &PhysicalPlan,
+        m: &mut ExecMetrics,
+        mut sink: Option<&mut TraceBuilder>,
+    ) -> Result<(Vec<String>, Vec<Vec<Value>>, u64)> {
         // 1. Obtain activity-half rows.
         let activity_rows: Vec<Vec<Value>> = match &plan.access {
             Access::ProvedEmpty => Vec::new(),
-            Access::MaterializedView => Vec::new(), // finish reads the view directly
+            Access::MaterializedView => {
+                return Err(QueryError::Plan(
+                    "matview plan the mirror cannot answer".into(),
+                ))
+            }
             Access::ColumnarScan { pushdown } => {
+                // Only planned when the executor carries the mirror.
+                let cols = self.interval_mirror().ok_or_else(|| {
+                    QueryError::Plan("columnar plan without a built mirror".into())
+                })?;
                 let (_, selection) = self.columnar_select(
                     dataset,
-                    &plan,
+                    cols,
+                    plan,
                     pushdown.as_ref(),
-                    &mut m,
+                    m,
                     sink.as_deref_mut(),
                     "columnar-scan",
                 )?;
-                let cols = self.columnar_mirror()?;
                 selection
                     .iter_ones()
                     .map(|i| cols.table().get_row(i))
@@ -437,7 +512,7 @@ impl Executor {
                 dataset,
                 fetches,
                 *concurrent_sources,
-                &mut m,
+                m,
                 sink.as_deref_mut(),
             )?,
             Access::CacheProbe {
@@ -471,7 +546,7 @@ impl Executor {
                             dataset,
                             on_miss,
                             *concurrent_sources,
-                            &mut m,
+                            m,
                             sink.as_deref_mut(),
                         )?;
                         if *insert_on_miss {
@@ -543,78 +618,31 @@ impl Executor {
             Finish::AggregateChildren { .. } => "aggregate",
             Finish::CountPerLeaf => "count-per-leaf",
         };
-        let (columns, out_rows) = self.finish(dataset, &plan, rows, view)?;
+        let (columns, out_rows) = self.finish(dataset, plan, rows)?;
         if let Some(tb) = sink {
             let mut span = QuerySpan::new(Stage::Finish, finish_label, finish_started);
             span.ended = dataset.clock.now();
             span.rows = Some(out_rows.len() as u64);
             tb.push(span);
         }
-
-        m.finished = dataset.clock.now();
-        m.virtual_cost = m.finished.since(m.started);
-
-        // Close the loop: fold this query's observed reality back into
-        // the adaptive runtime (learned cardinalities, the advisor's
-        // break-even ledger, the regret guardrail).
-        if let Some(adaptive) = &self.adaptive {
-            // A view-answerable aggregate the view did not serve: the
-            // same gate `use_matview` applies, minus view presence.
-            let matview_candidate = plan.access != Access::MaterializedView
-                && matches!(plan.finish, Finish::AggregateChildren { .. })
-                && plan.residual == Predicate::True
-                && plan.similarity.is_none()
-                && plan.substructure.is_none()
-                && plan.interval == dataset.index.interval(plan.scope_node);
-            let feedback = QueryFeedback {
-                pushed_local: plan.pushed_local.as_ref(),
-                interval_rows: self
-                    .stats
-                    .as_ref()
-                    .map_or(0, |s| s.interval_count(plan.interval)),
-                observed_rows: rows_in,
-                pruned_leaves: plan.pruned_leaves as u32,
-                matview_candidate,
-                served_by_adaptive,
-                fingerprint: crate::obs::plan_fingerprint(&plan),
-                charged: m.charged_cost,
-                break_even_proxy: self
-                    .stats
-                    .as_ref()
-                    .map_or(Duration::ZERO, |s| s.collection_cost),
-            };
-            adaptive.after_query(dataset, &feedback, || crate::obs::plan_shape(&plan))?;
-        }
-
-        Ok(QueryResult {
-            columns,
-            rows: out_rows,
-            metrics: m,
-        })
-    }
-
-    /// The built mirror, or a plan error — a `ColumnarScan` access can
-    /// only be planned when the executor carries one.
-    fn columnar_mirror(&self) -> Result<&ActivityColumns> {
-        self.columnar
-            .as_ref()
-            .ok_or_else(|| QueryError::Plan("columnar plan without a built mirror".into()))
+        Ok((columns, out_rows, rows_in))
     }
 
     /// Run the interval range-slice plus filter kernels over the
     /// mirror: binary-search the plan interval to a contiguous row
     /// range, evaluate the pushdown as bitmap kernels over it, charge
     /// the modeled compute cost, and emit a [`Stage::Compute`] span.
+    #[allow(clippy::too_many_arguments)]
     fn columnar_select(
         &self,
         dataset: &Dataset,
+        cols: &ActivityColumns,
         plan: &PhysicalPlan,
         pushdown: Option<&Predicate>,
         m: &mut ExecMetrics,
         sink: Option<&mut TraceBuilder>,
         detail: &str,
     ) -> Result<(usize, Bitmap)> {
-        let cols = self.columnar_mirror()?;
         let started = dataset.clock.now();
         let range = cols.rows_in(plan.interval)?;
         let scanned = range.len();
@@ -641,31 +669,42 @@ impl Executor {
         Ok((scanned, selection))
     }
 
-    /// Aggregate-kernel fast path: fold each child interval's selected
-    /// range with the sum/count/max kernels, byte-identical to
-    /// materializing the rows and running the generic finish.
-    #[allow(clippy::too_many_arguments)]
+    /// Aggregate-kernel path: fold each child interval's selected range
+    /// with the count/distinct/sum/max kernels, byte-identical to
+    /// materializing the rows and running the generic finish. A view
+    /// plan folds whole clades; a columnar scan folds its pushdown's
+    /// selection. Returns the result columns and rows plus the number
+    /// of rows selected.
     fn columnar_aggregate(
         &self,
         dataset: &Dataset,
+        cols: &ActivityColumns,
         plan: &PhysicalPlan,
-        pushdown: Option<&Predicate>,
-        children: &[(NodeId, String, LeafInterval)],
-        metric: Metric,
-        mut m: ExecMetrics,
+        m: &mut ExecMetrics,
         mut sink: Option<&mut TraceBuilder>,
-    ) -> Result<QueryResult> {
+    ) -> Result<(Vec<String>, Vec<Vec<Value>>, u64)> {
+        let Finish::AggregateChildren { children, metric } = &plan.finish else {
+            return Err(QueryError::Plan(
+                "aggregate kernels need an aggregate finish".into(),
+            ));
+        };
+        let (pushdown, detail) = match &plan.access {
+            Access::ColumnarScan { pushdown } => (pushdown.as_ref(), "columnar-aggregate"),
+            _ => (None, "matview"),
+        };
         let (_, selection) = self.columnar_select(
             dataset,
+            cols,
             plan,
             pushdown,
-            &mut m,
+            m,
             sink.as_deref_mut(),
-            "columnar-aggregate",
+            detail,
         )?;
-        let cols = self.columnar_mirror()?;
         let finish_started = dataset.clock.now();
-        // p_activity is column 5 of the activity-half schema.
+        // ligand_id and p_activity are columns 2 and 5 of the
+        // activity-half schema.
+        let ligand_col = cols.table().column(2);
         let p_col = cols.table().column(5);
         let mut out_rows = Vec::with_capacity(children.len());
         for (_, label, iv) in children {
@@ -675,6 +714,9 @@ impl Executor {
             mask.and_assign(&selection);
             let value = match metric {
                 Metric::Count => Value::Int(kernel::count(&mask) as i64),
+                Metric::DistinctLigands => {
+                    Value::Int(kernel::count_distinct(ligand_col, &mask) as i64)
+                }
                 Metric::MaxPActivity => kernel::max_value(p_col, &mask).unwrap_or(Value::Null),
                 Metric::MeanPActivity => {
                     let n = kernel::count(&mask);
@@ -684,12 +726,6 @@ impl Executor {
                         Value::Float(kernel::sum_f64(p_col, &mask) / n as f64)
                     }
                 }
-                // Gated by the caller; distinct counting needs the rows.
-                Metric::DistinctLigands => {
-                    return Err(QueryError::Plan(
-                        "distinct-ligands has no aggregate kernel".into(),
-                    ))
-                }
             };
             out_rows.push(vec![
                 Value::from(label.clone()),
@@ -698,25 +734,17 @@ impl Executor {
                 value,
             ]);
         }
-        let columns = vec![
-            "clade".to_string(),
-            "leaf_lo".to_string(),
-            "leaf_hi".to_string(),
-            metric.label().to_string(),
-        ];
         if let Some(tb) = sink {
             let mut span = QuerySpan::new(Stage::Finish, "aggregate", finish_started);
             span.ended = dataset.clock.now();
             span.rows = Some(out_rows.len() as u64);
             tb.push(span);
         }
-        m.finished = dataset.clock.now();
-        m.virtual_cost = m.finished.since(m.started);
-        Ok(QueryResult {
-            columns,
-            rows: out_rows,
-            metrics: m,
-        })
+        Ok((
+            aggregate_columns(*metric),
+            out_rows,
+            selection.count_ones() as u64,
+        ))
     }
 
     fn run_fetches(
@@ -863,7 +891,6 @@ impl Executor {
         dataset: &Dataset,
         plan: &PhysicalPlan,
         mut rows: Vec<Vec<Value>>,
-        view: Option<&MaterializedAggregates>,
     ) -> Result<(Vec<String>, Vec<Vec<Value>>)> {
         let unified_columns: Vec<String> = unified_schema()
             .columns()
@@ -889,47 +916,25 @@ impl Executor {
                 (unified_columns, rows)
             }
             Finish::AggregateChildren { children, metric } => {
-                let columns = vec![
-                    "clade".to_string(),
-                    "leaf_lo".to_string(),
-                    "leaf_hi".to_string(),
-                    metric.label().to_string(),
-                ];
-                let out = if plan.access == Access::MaterializedView {
-                    let view =
-                        view.ok_or_else(|| QueryError::Plan("matview plan without view".into()))?;
-                    children
-                        .iter()
-                        .map(|(node, label, iv)| {
-                            vec![
-                                Value::from(label.clone()),
-                                Value::from(iv.lo),
-                                Value::from(iv.hi),
-                                view.value(*node, *metric),
-                            ]
-                        })
-                        .collect()
-                } else {
-                    children
-                        .iter()
-                        .map(|(_, label, iv)| {
-                            let group: Vec<&Vec<Value>> = rows
-                                .iter()
-                                .filter(|r| {
-                                    r[0].as_int()
-                                        .is_some_and(|rank| iv.contains_rank(rank as u32))
-                                })
-                                .collect();
-                            vec![
-                                Value::from(label.clone()),
-                                Value::from(iv.lo),
-                                Value::from(iv.hi),
-                                aggregate_group(&group, *metric),
-                            ]
-                        })
-                        .collect()
-                };
-                (columns, out)
+                let out = children
+                    .iter()
+                    .map(|(_, label, iv)| {
+                        let group: Vec<&Vec<Value>> = rows
+                            .iter()
+                            .filter(|r| {
+                                r[0].as_int()
+                                    .is_some_and(|rank| iv.contains_rank(rank as u32))
+                            })
+                            .collect();
+                        vec![
+                            Value::from(label.clone()),
+                            Value::from(iv.lo),
+                            Value::from(iv.hi),
+                            aggregate_group(&group, *metric),
+                        ]
+                    })
+                    .collect();
+                (aggregate_columns(*metric), out)
             }
             Finish::CountPerLeaf => {
                 let columns = vec![
@@ -980,6 +985,16 @@ pub(crate) fn dedupe_most_recent(rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
         }
     }
     best.into_values().collect()
+}
+
+/// Result columns of a per-child aggregate.
+fn aggregate_columns(metric: Metric) -> Vec<String> {
+    vec![
+        "clade".to_string(),
+        "leaf_lo".to_string(),
+        "leaf_hi".to_string(),
+        metric.label().to_string(),
+    ]
 }
 
 fn aggregate_group(group: &[&Vec<Value>], metric: Metric) -> Value {
@@ -1145,6 +1160,7 @@ mod tests {
     #[test]
     fn aggregate_served_by_matview() {
         let d = small_dataset(SourceCapabilities::full());
+        let naive = executor(OptimizerConfig::naive());
         let mut e = executor(OptimizerConfig::full());
         e.build_matview(&d).unwrap();
         let q = Query::activities(Scope::Tree).aggregate(Metric::Count);
@@ -1153,6 +1169,36 @@ mod tests {
         assert_eq!(r.rows[0][3], Value::Int(3));
         assert_eq!(r.rows[1][3], Value::Int(1));
         assert!(r.metrics.notes.iter().any(|n| n.contains("matview")));
+        // Every metric matches naive, including cladeB's empty child
+        // P4 (count 0, NULL potency).
+        for scope in [Scope::Tree, Scope::Subtree("cladeB".into())] {
+            for metric in [
+                Metric::Count,
+                Metric::DistinctLigands,
+                Metric::MeanPActivity,
+                Metric::MaxPActivity,
+            ] {
+                let q = Query::activities(scope.clone()).aggregate(metric);
+                let r = e.execute(&d, &q).unwrap();
+                assert_eq!(r.metrics.source_requests, 0, "{scope:?} {metric:?}");
+                assert_eq!(naive.execute(&d, &q).unwrap().rows, r.rows);
+            }
+        }
+        let q = Query::activities(Scope::Subtree("cladeB".into())).aggregate(Metric::MaxPActivity);
+        let r = e.execute(&d, &q).unwrap();
+        let p4 = r
+            .rows
+            .iter()
+            .find(|row| row[0] == Value::from("P4"))
+            .unwrap();
+        assert_eq!(p4[3], Value::Null);
+        // The plan prices the view access at the kernel charge the
+        // executor makes for it.
+        e.collect_stats(&d).unwrap();
+        let q = Query::activities(Scope::Tree).aggregate(Metric::Count);
+        let analyzed = e.analyze(&d, &q).unwrap();
+        assert!(analyzed.plan.estimated_cost > Duration::ZERO);
+        assert_eq!(analyzed.access_error(), Some(0.0));
     }
 
     #[test]
@@ -1180,22 +1226,24 @@ mod tests {
     fn aggregates_served_by_columnar_kernels() {
         let d = small_dataset(SourceCapabilities::full());
         let naive = executor(OptimizerConfig::naive());
-        let mut e = executor(OptimizerConfig::full());
+        // With the view access ablated, aggregates plan as columnar
+        // scans and fold their selection with the same kernels.
+        let mut e = executor(OptimizerConfig::ablate("use_matview").unwrap());
         e.build_columnar(&d).unwrap();
-        for metric in [Metric::Count, Metric::MeanPActivity, Metric::MaxPActivity] {
+        for metric in [
+            Metric::Count,
+            Metric::DistinctLigands,
+            Metric::MeanPActivity,
+            Metric::MaxPActivity,
+        ] {
             let q = Query::activities(Scope::Tree).aggregate(metric);
             let a = naive.execute(&d, &q).unwrap();
             let b = e.execute(&d, &q).unwrap();
             assert_eq!(a.columns, b.columns);
             assert_eq!(a.rows, b.rows, "metric {metric:?}");
             assert_eq!(b.metrics.source_requests, 0);
+            assert!(b.metrics.notes.iter().any(|n| n.contains("columnar-scan")));
         }
-        // DistinctLigands needs the rows; the kernel fast path must
-        // decline it, not answer it wrong.
-        let q = Query::activities(Scope::Tree).aggregate(Metric::DistinctLigands);
-        let a = naive.execute(&d, &q).unwrap();
-        let b = e.execute(&d, &q).unwrap();
-        assert_eq!(a.rows, b.rows);
     }
 
     #[test]
@@ -1224,8 +1272,8 @@ mod tests {
         e.build_columnar(&d).unwrap();
         let q = Query::activities(Scope::Tree).aggregate(Metric::Count);
         let r = e.execute(&d, &q).unwrap();
-        // The view is precomputed (zero per-row work at query time), so
-        // it outranks even the kernel path when both are fresh.
+        // Both builds share one mirror at the wider scope, and a pure
+        // whole-clade aggregate still plans as the view access.
         assert!(r.metrics.notes.iter().any(|n| n.contains("matview")));
         assert_eq!(r.rows[0][3], Value::Int(3));
     }

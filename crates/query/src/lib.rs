@@ -30,10 +30,10 @@
 //!   (design decision D8).
 //! * [`cache`] — the semantic result cache (design decision D2).
 //! * [`exec`] — the executor and its metrics.
-//! * [`columnar`] — the columnar activity mirror: rank-sorted typed
-//!   segments answering interval scopes with vectorized kernels
-//!   instead of source round-trips (design decision D12).
-//! * [`matview`] — materialized per-subtree aggregate views.
+//! * [`columnar`] — the columnar activity mirror, the one local answer
+//!   store: rank-sorted typed segments answering interval scopes and
+//!   per-clade aggregates with vectorized kernels instead of source
+//!   round-trips (design decision D12).
 //! * [`trace`] — the observability layer: per-query span trees on the
 //!   virtual clock, the [`Observer`] hook, lock-free metrics, and the
 //!   `EXPLAIN ANALYZE` rendering (design decision D9).
@@ -55,7 +55,6 @@ pub mod cost;
 pub mod dataset;
 pub mod error;
 pub mod exec;
-pub mod matview;
 pub mod obs;
 pub mod optimizer;
 pub mod parser;

@@ -48,7 +48,6 @@ use crate::ast::{columns, Query, QueryKind, SimilaritySpec};
 use crate::columnar::ActivityColumns;
 use crate::cost::CostModel;
 use crate::dataset::{unified_schema, Dataset};
-use crate::matview::MaterializedAggregates;
 use crate::phases::{
     PassTrace, RewritePhase, RuleDef, RuleFiring, RuleOutcome, MAX_PASSES_PER_PHASE, PHASE_ORDER,
 };
@@ -101,7 +100,8 @@ pub struct OptimizerConfig {
     pub semantic_cache: bool,
     /// Reorder residual conjuncts by selectivity.
     pub selectivity_ordering: bool,
-    /// Answer eligible aggregates from the materialized view.
+    /// Answer pure whole-clade aggregates from the columnar mirror's
+    /// aggregate kernels when the executor lets the mirror answer them.
     pub use_matview: bool,
     /// Serve each declared replica group from its cheapest member
     /// instead of fetching every copy.
@@ -219,50 +219,38 @@ impl Optimizer {
         &self,
         dataset: &Dataset,
         stats: Option<&OverlayStats>,
-        matview: Option<&MaterializedAggregates>,
+        aggregates: Option<&ActivityColumns>,
         query: &Query,
     ) -> Result<PhysicalPlan> {
-        self.plan_with(dataset, stats, matview, None, query)
+        self.plan_with(dataset, stats, aggregates, None, query)
     }
 
     /// Plan a query, pricing cost-based alternatives with `cost` (the
     /// prior-only default model when absent). Fixed-order planning
-    /// ignores `cost` entirely. Plans without a columnar mirror; the
-    /// executor carries one via [`Optimizer::plan_full`].
+    /// ignores `cost` entirely. `aggregates` is a columnar mirror that
+    /// may answer pure whole-clade aggregates; interval scans need the
+    /// mirror passed to [`Optimizer::plan_adaptive`].
     pub fn plan_with(
         &self,
         dataset: &Dataset,
         stats: Option<&OverlayStats>,
-        matview: Option<&MaterializedAggregates>,
+        aggregates: Option<&ActivityColumns>,
         cost: Option<&CostModel>,
         query: &Query,
     ) -> Result<PhysicalPlan> {
-        self.plan_full(dataset, stats, matview, None, cost, query)
+        self.plan_adaptive(dataset, stats, None, 0, aggregates, None, cost, query)
     }
 
     /// Plan with every auxiliary structure the executor can carry: the
-    /// materialized aggregate view, the columnar activity mirror, and
-    /// the calibrated cost model.
-    pub fn plan_full(
-        &self,
-        dataset: &Dataset,
-        stats: Option<&OverlayStats>,
-        matview: Option<&MaterializedAggregates>,
-        columnar: Option<&ActivityColumns>,
-        cost: Option<&CostModel>,
-        query: &Query,
-    ) -> Result<PhysicalPlan> {
-        self.plan_adaptive(dataset, stats, None, 0, matview, columnar, cost, query)
-    }
-
-    /// Plan with every auxiliary structure *plus* the adaptive layer's
+    /// columnar activity mirror as an aggregate store (`aggregates`)
+    /// and as an interval store (`columnar`) — both may name the same
+    /// mirror — the calibrated cost model, and the adaptive layer's
     /// learned statistics (design decision D15). When `learned` is
     /// present, selectivity ordering and cardinality estimation route
     /// through a [`StatsView`] that prefers fresh learned coverage over
     /// the nominal histograms; `now_ns` is the virtual-clock instant
-    /// used for the learned staleness check. `plan_full` delegates here
-    /// with no learned provider, so nominal-only planning is
-    /// byte-identical to before the seam existed.
+    /// used for the learned staleness check. With no learned provider,
+    /// planning is nominal-only.
     #[allow(clippy::too_many_arguments)]
     pub fn plan_adaptive(
         &self,
@@ -270,7 +258,7 @@ impl Optimizer {
         stats: Option<&OverlayStats>,
         learned: Option<&LearnedStats>,
         now_ns: u64,
-        matview: Option<&MaterializedAggregates>,
+        aggregates: Option<&ActivityColumns>,
         columnar: Option<&ActivityColumns>,
         cost: Option<&CostModel>,
         query: &Query,
@@ -295,7 +283,7 @@ impl Optimizer {
             stats,
             learned,
             now_ns,
-            matview,
+            aggregates,
             columnar,
             cost_model,
             query,
@@ -336,7 +324,7 @@ struct Rewrite<'a> {
     learned: Option<&'a LearnedStats>,
     /// Virtual-clock instant for the learned staleness check.
     now_ns: u64,
-    matview: Option<&'a MaterializedAggregates>,
+    aggregates: Option<&'a ActivityColumns>,
     columnar: Option<&'a ActivityColumns>,
     cost_model: Option<&'a CostModel>,
     query: &'a Query,
@@ -397,7 +385,7 @@ impl<'a> Rewrite<'a> {
         stats: Option<&'a OverlayStats>,
         learned: Option<&'a LearnedStats>,
         now_ns: u64,
-        matview: Option<&'a MaterializedAggregates>,
+        aggregates: Option<&'a ActivityColumns>,
         columnar: Option<&'a ActivityColumns>,
         cost_model: Option<&'a CostModel>,
         query: &'a Query,
@@ -408,7 +396,7 @@ impl<'a> Rewrite<'a> {
             stats,
             learned,
             now_ns,
-            matview,
+            aggregates,
             columnar,
             cost_model,
             query,
@@ -484,7 +472,7 @@ impl<'a> Rewrite<'a> {
     /// The phase's structural postconditions, checked the moment it
     /// completes so a bad rule fails at its own boundary. Lower's
     /// boundary is the full [`crate::validate::PlanValidator`], run on
-    /// the assembled plan by `plan_full`.
+    /// the assembled plan by `plan_adaptive`.
     fn check_phase_boundary(&self, phase: RewritePhase) -> Result<()> {
         let mut violations = Vec::new();
         match phase {
@@ -825,14 +813,14 @@ impl<'a> Rewrite<'a> {
                 } else if self.is_done(rule.name) {
                     NoChange
                 } else {
-                    // Eligibility is a correctness gate: the view holds
-                    // whole-clade aggregates, so the scope must cover
-                    // the clade exactly — an interval or leaf-set scope
-                    // that only partially covers its tightest enclosing
-                    // clade aggregates a subset of each child's rows,
-                    // which the view cannot answer. (Found by the
-                    // differential oracle.)
-                    let eligible = self.matview.is_some_and(|v| v.is_fresh(self.dataset))
+                    // Eligibility is a correctness gate: the access
+                    // folds each child's whole row range with no
+                    // pushdown, so the scope must cover the clade
+                    // exactly — an interval or leaf-set scope that only
+                    // partially covers its tightest enclosing clade
+                    // aggregates a subset of each child's rows. (Found
+                    // by the differential oracle.)
+                    let eligible = self.aggregates.is_some_and(|c| c.is_fresh(self.dataset))
                         && matches!(self.query.kind, QueryKind::AggregateChildren { .. })
                         && self.interval() == self.dataset.index.interval(self.scope())
                         && self.canonical == Predicate::True
@@ -1069,15 +1057,16 @@ impl<'a> Rewrite<'a> {
                     per_source.sum()
                 }
             };
+            // Both mirror accesses run the same kernels over the
+            // interval's rows and are charged alike; the view access is
+            // listed first so it wins the tie.
+            let local_secs = crate::cost::columnar_scan_secs(expected_rows);
             let mut alternatives: Vec<(&str, f64)> = Vec::new();
             if self.matview_eligible {
-                alternatives.push(("matview", 0.0));
+                alternatives.push(("matview", local_secs));
             }
             if self.columnar_ready {
-                alternatives.push((
-                    "columnar-scan",
-                    crate::cost::columnar_scan_secs(expected_rows),
-                ));
+                alternatives.push(("columnar-scan", local_secs));
             }
             alternatives.push(("batched-fetch", price_variant(true)));
             alternatives.push(("per-key-fetch", price_variant(false)));
@@ -1106,20 +1095,8 @@ impl<'a> Rewrite<'a> {
                 "cost-based: access={chosen_label} est={:?} est_rows={expected_rows}",
                 crate::cost::secs_to_duration(best)
             ));
-            if chosen_label == "matview" {
-                self.notes
-                    .push("matview: aggregate served from materialized view".into());
-                return Access::MaterializedView;
-            }
-            if chosen_label == "columnar-scan" {
-                let interval = self.interval();
-                self.notes.push(format!(
-                    "columnar-scan: interval [{}, {}) served by vectorized kernels",
-                    interval.lo, interval.hi
-                ));
-                return Access::ColumnarScan {
-                    pushdown: self.pushdown.clone(),
-                };
+            if chosen_label == "matview" || chosen_label == "columnar-scan" {
+                return self.local_access(chosen_label == "matview");
             }
             let batched = chosen_label == "batched-fetch";
             let fetches: Vec<FetchPlan> = sources
@@ -1167,19 +1144,8 @@ impl<'a> Rewrite<'a> {
             };
         }
         // Fixed pipeline: flag order decides.
-        if self.matview_eligible {
-            self.notes
-                .push("matview: aggregate served from materialized view".into());
-            Access::MaterializedView
-        } else if self.columnar_ready {
-            let interval = self.interval();
-            self.notes.push(format!(
-                "columnar-scan: interval [{}, {}) served by vectorized kernels",
-                interval.lo, interval.hi
-            ));
-            Access::ColumnarScan {
-                pushdown: self.pushdown.clone(),
-            }
+        if self.matview_eligible || self.columnar_ready {
+            self.local_access(self.matview_eligible)
         } else if self.cache_wrap {
             Access::CacheProbe {
                 pushdown: self.cache_pred.clone(),
@@ -1195,6 +1161,24 @@ impl<'a> Rewrite<'a> {
         }
     }
 
+    /// A mirror access, noted for EXPLAIN: the view access for a pure
+    /// whole-clade aggregate, else a columnar scan of the interval.
+    fn local_access(&mut self, view: bool) -> Access {
+        if view {
+            self.notes
+                .push("matview: aggregate served from the columnar mirror".into());
+            return Access::MaterializedView;
+        }
+        let interval = self.interval();
+        self.notes.push(format!(
+            "columnar-scan: interval [{}, {}) served by vectorized kernels",
+            interval.lo, interval.hi
+        ));
+        Access::ColumnarScan {
+            pushdown: self.pushdown.clone(),
+        }
+    }
+
     /// Assemble the physical plan from the finished draft.
     fn into_plan(self) -> PhysicalPlan {
         let Some(access) = self.access else {
@@ -1202,10 +1186,12 @@ impl<'a> Rewrite<'a> {
         };
         // Cost estimate (for EXPLAIN and plan-choice validation):
         // combine the per-fetch estimates the same way the executor
-        // combines charged latency; a columnar scan's estimate is the
+        // combines charged latency; a mirror access's estimate is the
         // modeled local-compute term.
         let estimated_cost = match &access {
-            Access::ColumnarScan { .. } => crate::cost::columnar_scan_cost(self.expected_rows),
+            Access::ColumnarScan { .. } | Access::MaterializedView => {
+                crate::cost::columnar_scan_cost(self.expected_rows)
+            }
             _ => combine_access_cost(&access),
         };
         let estimated_rows = match &access {
@@ -1530,7 +1516,7 @@ fn combine_access_cost(access: &Access) -> Duration {
             concurrent_sources,
             ..
         } => (on_miss, *concurrent_sources),
-        // Columnar scans price via the compute model, not fetch
+        // Mirror accesses price via the compute model, not fetch
         // estimates; the caller special-cases them before combining.
         Access::ColumnarScan { .. } | Access::MaterializedView | Access::ProvedEmpty => {
             return Duration::ZERO
@@ -1746,18 +1732,16 @@ mod tests {
 
     #[test]
     fn matview_rejected_for_partial_clade_coverage() {
-        use crate::matview::MaterializedAggregates;
         let d = dataset();
-        let view = MaterializedAggregates::build(&d).unwrap();
+        let view = ActivityColumns::build(&d).unwrap();
         let opt = Optimizer::new(OptimizerConfig::full());
         // Whole tree: eligible.
         let q = Query::activities(Scope::Tree).aggregate(Metric::Count);
         let plan = opt.plan(&d, None, Some(&view), &q).unwrap();
         assert_eq!(plan.access, Access::MaterializedView);
         // Leaves P2..P3 span clades A and B, so the tightest clade is
-        // the whole root but the interval is [1, 3): the view's whole-
-        // clade aggregates would overcount. (Differential-oracle
-        // regression.)
+        // the whole root but the interval is [1, 3): whole-clade
+        // aggregates would overcount. (Differential-oracle regression.)
         let q = Query::activities(Scope::Leaves(vec!["P2".into(), "P3".into()]))
             .aggregate(Metric::Count);
         let plan = opt.plan(&d, None, Some(&view), &q).unwrap();

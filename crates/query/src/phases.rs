@@ -249,7 +249,7 @@ pub const REGISTRY: &[RuleDef] = &[
     RuleDef {
         name: "use_matview",
         phase: RewritePhase::Optimize,
-        description: "answer eligible aggregates from the materialized view",
+        description: "answer whole-clade aggregates from the columnar mirror",
         toggle: Some(t_use_matview),
     },
     RuleDef {

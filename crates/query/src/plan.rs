@@ -82,7 +82,9 @@ pub enum Access {
         /// residual still re-applies the full query predicate).
         pushdown: Option<Predicate>,
     },
-    /// Answered entirely by a materialized aggregate view.
+    /// A pure whole-clade aggregate answered from the columnar mirror:
+    /// the aggregate kernels fold each child's whole row range, with no
+    /// pushdown and no source round-trip.
     MaterializedView,
     /// Proven empty by statistics; no access at all.
     ProvedEmpty,

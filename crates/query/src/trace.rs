@@ -560,9 +560,8 @@ pub struct AnalyzedResult {
 impl AnalyzedResult {
     /// Relative estimate error of the access: `|est - actual| /
     /// actual` against the cost charged to this query. `None` when no
-    /// access cost was charged (cache hit, proved empty, materialized
-    /// view), where the miss-path estimate has no observed
-    /// counterpart.
+    /// access cost was charged (cache hit, proved empty), where the
+    /// miss-path estimate has no observed counterpart.
     pub fn access_error(&self) -> Option<f64> {
         access_error(&self.plan, &self.trace)
     }

@@ -27,8 +27,10 @@
 //!   the miss-path pushdown plus (at most) the statistics-pruning
 //!   `p_activity >=` bound; anything else would reuse cached entries
 //!   under the wrong key.
-//! * **matview-purity** — the materialized view only answers pure
-//!   aggregates: no residual predicate, no similarity, no substructure.
+//! * **matview-purity** — the view access folds whole clades of the
+//!   columnar mirror with no pushdown, so it only answers pure
+//!   per-child aggregates over a whole clade: no residual predicate,
+//!   no similarity, no substructure, no partial-clade interval.
 //! * **columnar-kernel-columns** — a columnar scan's pushdown
 //!   references only columns of the activity-half mirror schema, so
 //!   every predicate leaf has a vectorized kernel to run on.
@@ -87,7 +89,7 @@ pub const RULE_PUSHDOWN_CAPABILITY: &str = "pushdown-capability";
 pub const RULE_PRUNING: &str = "pruning-consistency";
 /// Rule name: cache probe key consistent with the miss-path pushdown.
 pub const RULE_CACHE_KEY: &str = "cache-key-consistency";
-/// Rule name: materialized view only answers pure aggregates.
+/// Rule name: the view access only answers pure whole-clade aggregates.
 pub const RULE_MATVIEW: &str = "matview-purity";
 /// Rule name: columnar pushdown columns exist in the mirror schema.
 pub const RULE_COLUMNAR: &str = "columnar-kernel-columns";
@@ -418,7 +420,7 @@ impl<'a> PlanValidator<'a> {
                 rule: RULE_MATVIEW,
                 path: "access".into(),
                 explanation: format!(
-                    "materialized view cannot answer under residual predicate `{}`",
+                    "the view access cannot answer under residual predicate `{}`",
                     fmt_pred(&plan.residual)
                 ),
             });
@@ -427,18 +429,19 @@ impl<'a> PlanValidator<'a> {
             out.push(InvariantViolation {
                 rule: RULE_MATVIEW,
                 path: "access".into(),
-                explanation: "materialized view cannot answer under structural constraints".into(),
+                explanation: "the view access cannot answer under structural constraints".into(),
             });
         }
         if !matches!(plan.finish, Finish::AggregateChildren { .. }) {
             out.push(InvariantViolation {
                 rule: RULE_MATVIEW,
                 path: "finish".into(),
-                explanation: "materialized view only answers per-child aggregates".into(),
+                explanation: "the view access only answers per-child aggregates".into(),
             });
         }
-        // The view stores whole-clade aggregates: a scope interval
-        // that only partially covers its clade needs per-row access.
+        // The view access folds each child's whole row range: a scope
+        // interval that only partially covers its clade needs a
+        // filtered scan.
         // (Bounds-checked so a malformed scope_node cannot panic.)
         if plan.scope_node.index() < self.dataset.index.node_count() {
             let clade = self.dataset.index.interval(plan.scope_node);
@@ -447,7 +450,7 @@ impl<'a> PlanValidator<'a> {
                     rule: RULE_MATVIEW,
                     path: "interval".into(),
                     explanation: format!(
-                        "materialized view answers whole clades, but scope interval \
+                        "the view access answers whole clades, but scope interval \
                          [{}, {}) covers clade n{} = [{}, {}) only partially",
                         plan.interval.lo, plan.interval.hi, plan.scope_node.0, clade.lo, clade.hi
                     ),

@@ -11,18 +11,17 @@
 use drugtree_chem::affinity::ActivityType;
 use drugtree_query::ast::Metric;
 use drugtree_query::dataset::test_fixtures::{small_dataset, test_latency};
-use drugtree_query::matview::MaterializedAggregates;
 use drugtree_query::plan::PhysicalPlan;
 use drugtree_query::stats::OverlayStats;
-use drugtree_query::{Dataset, Optimizer, OptimizerConfig, Query, Scope};
+use drugtree_query::{ActivityColumns, Dataset, Optimizer, OptimizerConfig, Query, Scope};
 use drugtree_store::expr::{CompareOp, Predicate};
 use std::time::Duration;
 
 fn planned(d: &Dataset, config: OptimizerConfig, q: &Query) -> PhysicalPlan {
     let stats = OverlayStats::collect(d).expect("stats");
-    let view = MaterializedAggregates::build(d).expect("view");
+    let mirror = ActivityColumns::build(d).expect("mirror");
     Optimizer::new(config)
-        .plan(d, Some(&stats), Some(&view), q)
+        .plan(d, Some(&stats), Some(&mirror), q)
         .expect("plans")
 }
 
@@ -176,7 +175,7 @@ fn toggle_use_matview() {
     let (on, off) = toggled(&d, "use_matview", &q);
     assert!(on.contains("MaterializedView"), "{on}");
     assert!(
-        on.contains("# matview: aggregate served from materialized view"),
+        on.contains("# matview: aggregate served from the columnar mirror"),
         "{on}"
     );
     assert!(!off.contains("MaterializedView"), "{off}");

@@ -475,6 +475,33 @@ pub fn sum_f64(col: ColumnSlice<'_>, selection: &Bitmap) -> f64 {
     sum
 }
 
+/// Number of distinct values over selected, valid rows. Dictionary
+/// columns count codes (the dictionary interns each string once), so
+/// per-row work never touches string bytes; other types compare
+/// [`Value`]s.
+pub fn count_distinct(col: ColumnSlice<'_>, selection: &Bitmap) -> usize {
+    match col.data {
+        ColumnData::Str { codes, dict } => {
+            let mut seen = vec![false; dict.len()];
+            let mut distinct = 0;
+            for_each_selected_valid(selection, col.validity, |i| {
+                if let Some(s) = seen.get_mut(codes[i] as usize) {
+                    distinct += usize::from(!*s);
+                    *s = true;
+                }
+            });
+            distinct
+        }
+        ColumnData::Int(_) | ColumnData::Float(_) | ColumnData::Bool(_) => {
+            let mut seen = BTreeSet::new();
+            for_each_selected_valid(selection, col.validity, |i| {
+                seen.insert(col.value_at(i));
+            });
+            seen.len()
+        }
+    }
+}
+
 /// Minimum value over selected, valid rows (`Value` ordering; `None`
 /// when nothing valid is selected).
 pub fn min_value(col: ColumnSlice<'_>, selection: &Bitmap) -> Option<Value> {
@@ -631,5 +658,50 @@ mod tests {
         only_null.set(2);
         assert_eq!(max_value(seg.slice(), &only_null), None);
         assert_eq!(sum_f64(seg.slice(), &only_null), 0.0);
+    }
+
+    #[test]
+    fn count_distinct_matches_the_row_path() {
+        let mut seg = Segment::new(ValueType::Text).unwrap();
+        let cells = [
+            Some("L2"),
+            Some("L1"),
+            None,
+            Some("L2"),
+            Some("L3"),
+            Some("L1"),
+        ];
+        for v in cells {
+            seg.push_value(&v.map_or(Value::Null, Value::from)).unwrap();
+        }
+        // The row path: distinct non-NULL texts among the selected rows.
+        let row_path = |rows: &[usize]| -> usize {
+            rows.iter()
+                .filter_map(|&i| cells[i])
+                .collect::<BTreeSet<_>>()
+                .len()
+        };
+        for rows in [vec![0, 1, 2, 3, 4, 5], vec![0, 2, 3], vec![2], vec![1, 4]] {
+            let mut sel = Bitmap::new(cells.len());
+            for &i in &rows {
+                sel.set(i);
+            }
+            assert_eq!(
+                count_distinct(seg.slice(), &sel),
+                row_path(&rows),
+                "{rows:?}"
+            );
+        }
+        // Empty selection.
+        assert_eq!(count_distinct(seg.slice(), &Bitmap::new(cells.len())), 0);
+        // A single-code column counts one, however many rows repeat it.
+        let mut single = Segment::new(ValueType::Text).unwrap();
+        for _ in 0..70 {
+            single.push_value(&Value::from("L9")).unwrap();
+        }
+        assert_eq!(count_distinct(single.slice(), &Bitmap::full(70)), 1);
+        // Non-dictionary columns compare values.
+        let ints = int_col(&[Some(4), Some(4), None, Some(7)]);
+        assert_eq!(count_distinct(ints.slice(), &Bitmap::full(4)), 2);
     }
 }

@@ -164,3 +164,39 @@ fn multi_source_partitioning_is_transparent() {
         assert_eq!(a, b, "{text}");
     }
 }
+
+#[test]
+fn local_aggregates_match_naive_bit_for_bit() {
+    // At this size and seed, summing p_activity in source order instead
+    // of leaf-rank order moves the tree-scope mean in its last bits, so
+    // a local answer store must fold rows in rank order exactly as the
+    // fetch path does. Compared with `==`: no float rounding.
+    let bundle =
+        SyntheticBundle::generate(&WorkloadSpec::default().leaves(256).ligands(32).seed(808));
+    let naive = DrugTree::builder()
+        .dataset(bundle.build_dataset())
+        .optimizer(OptimizerConfig::naive())
+        .with_stats(false)
+        .build()
+        .unwrap();
+    let local = DrugTree::builder()
+        .dataset(bundle.build_dataset())
+        .with_matview()
+        .build()
+        .unwrap();
+    for scope in ["tree", "subtree('clade1')"] {
+        for metric in [
+            "count",
+            "distinct_ligands",
+            "max_p_activity",
+            "mean_p_activity",
+        ] {
+            let text = format!("aggregate {metric} in {scope}");
+            let expected = naive.query(&text).unwrap();
+            let got = local.query(&text).unwrap();
+            assert_eq!(got.metrics.source_requests, 0, "{text}: answered locally");
+            assert_eq!(expected.columns, got.columns, "{text}");
+            assert_eq!(expected.rows, got.rows, "{text}");
+        }
+    }
+}

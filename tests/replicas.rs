@@ -6,6 +6,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use drugtree::prelude::*;
+use drugtree_sources::assay_db::assay_row;
 
 fn replicated_bundle() -> SyntheticBundle {
     SyntheticBundle::generate(
@@ -138,4 +139,47 @@ fn replicated_matview_does_not_double_count() {
     // The per-clade counts sum to the true record count.
     let total: i64 = a.rows.iter().map(|r| r[3].as_int().unwrap()).sum();
     assert_eq!(total as usize, bundle.activities.len());
+}
+
+#[test]
+fn cross_source_duplicate_is_counted_once_by_local_aggregates() {
+    // Two partitioned sources, and an older copy of one record lands in
+    // the second. The fetch path keeps only the most recent copy of a
+    // (leaf, ligand, type) measurement, so the local aggregate store
+    // must count it once too.
+    let bundle = SyntheticBundle::generate(
+        &WorkloadSpec::default()
+            .leaves(64)
+            .ligands(8)
+            .seed(505)
+            .assay_sources(2),
+    );
+    let with_duplicate = || {
+        let dataset = bundle.build_dataset();
+        let mut older = bundle.activities[0].clone();
+        older.year -= 1;
+        dataset
+            .registry
+            .by_name("assay-1")
+            .unwrap()
+            .ingest(assay_row(&older))
+            .unwrap();
+        dataset
+    };
+    let naive = DrugTree::builder()
+        .dataset(with_duplicate())
+        .optimizer(OptimizerConfig::naive())
+        .with_stats(false)
+        .build()
+        .unwrap();
+    let local = DrugTree::builder()
+        .dataset(with_duplicate())
+        .with_matview()
+        .build()
+        .unwrap();
+    let text = "aggregate count in tree";
+    let expected = naive.query(text).unwrap();
+    let got = local.query(text).unwrap();
+    assert_eq!(got.metrics.source_requests, 0, "answered locally");
+    assert_eq!(expected.rows, got.rows);
 }
