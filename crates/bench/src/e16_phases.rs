@@ -142,7 +142,6 @@ pub fn run(config: RunConfig) -> ExperimentTable {
         let system = DrugTree::builder()
             .dataset(bundle.build_dataset())
             .optimizer(mode.config)
-            .with_matview()
             .build()
             .expect("system builds");
         let mut charged = Vec::with_capacity(corpus.len());

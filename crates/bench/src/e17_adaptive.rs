@@ -174,7 +174,7 @@ pub fn run(config: RunConfig) -> ExperimentTable {
         // (cache invalidated between, as a refreshing deployment sees
         // them) accumulate foregone cost in the advisor; in `on` mode
         // it crosses break-even mid-stream and later queries are
-        // served from the auto-built view.
+        // served from the auto-built mirror.
         let mut agg_latencies: Vec<Duration> = Vec::with_capacity(agg_n);
         for _ in 0..agg_n {
             system.executor().invalidate();
@@ -243,10 +243,13 @@ pub fn run(config: RunConfig) -> ExperimentTable {
             built.to_string(),
             fmt_ms(mean(&agg_latencies)),
             prefetching.to_string(),
-            format!(
-                "{:.0}%",
-                100.0 * fleet_hits as f64 / fleet_queries.max(1) as f64
-            ),
+            // No probe, no rate: a fleet served from the mirror never
+            // touches the cache.
+            if fleet_queries == 0 {
+                "-".into()
+            } else {
+                format!("{:.0}%", 100.0 * fleet_hits as f64 / fleet_queries as f64)
+            },
             fleet_reqs.to_string(),
             snapshot
                 .as_ref()

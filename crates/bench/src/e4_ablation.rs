@@ -35,7 +35,6 @@ pub fn run(config: RunConfig) -> ExperimentTable {
         let system = DrugTree::builder()
             .dataset(bundle.build_dataset())
             .optimizer(cfg)
-            .with_matview()
             .build()
             .expect("system builds");
         let mut latencies = Vec::with_capacity(queries.len());

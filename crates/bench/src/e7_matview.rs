@@ -42,10 +42,10 @@ pub fn run(config: RunConfig) -> ExperimentTable {
             .optimizer(if with_mirror {
                 OptimizerConfig::full()
             } else {
-                OptimizerConfig::ablate("use_matview").expect("known rule")
+                OptimizerConfig::ablate("columnar_scan").expect("known rule")
             });
         if with_mirror {
-            builder = builder.with_matview();
+            builder = builder.with_columnar();
         }
         let system = builder.build().expect("builds");
         let latencies: Vec<Duration> = queries

@@ -205,7 +205,7 @@ fn main() {
     let mut system = match DrugTree::builder()
         .dataset(bundle.build_dataset())
         .optimizer(OptimizerConfig::full())
-        .with_matview()
+        .with_columnar()
         .build()
     {
         Ok(s) => s,

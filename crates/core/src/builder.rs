@@ -49,7 +49,6 @@ pub struct DrugTreeBuilder {
     tree_method: TreeMethod,
     distance_model: DistanceModel,
     collect_stats: bool,
-    build_matview: bool,
     build_columnar: bool,
     midpoint_rooting: bool,
     observer: Option<Arc<dyn Observer>>,
@@ -73,7 +72,6 @@ impl DrugTreeBuilder {
             tree_method: TreeMethod::NeighborJoining,
             distance_model: DistanceModel::Poisson,
             collect_stats: true,
-            build_matview: false,
             build_columnar: false,
             midpoint_rooting: false,
             observer: None,
@@ -108,7 +106,7 @@ impl DrugTreeBuilder {
     }
 
     /// Switch the planner to cost-based alternative selection: rules
-    /// propose candidates (matview vs fetch, per-replica paths, batched
+    /// propose candidates (columnar scan vs fetch, per-replica paths, batched
     /// vs per-key) and a calibrated cost model picks the cheapest. The
     /// model starts from generic priors and refines per-source
     /// parameters from observed fetch latencies.
@@ -136,16 +134,11 @@ impl DrugTreeBuilder {
         self
     }
 
-    /// Also build the columnar activity mirror at startup and let it
-    /// answer pure whole-clade aggregates. Combined with
-    /// [`DrugTreeBuilder::with_columnar`], one mirror is built at the
-    /// wider scope.
-    ///
-    /// The benchmark harness under `perfbench/` calls this method by
-    /// name, so it stays until that harness changes.
-    pub fn with_matview(mut self) -> Self {
-        self.build_matview = true;
-        self
+    /// Alias of [`DrugTreeBuilder::with_columnar`]. The benchmark
+    /// harness under `perfbench/` calls this method by name, so it
+    /// stays until that harness changes.
+    pub fn with_matview(self) -> Self {
+        self.with_columnar()
     }
 
     /// Also build the columnar activity mirror at startup: interval
@@ -176,7 +169,7 @@ impl DrugTreeBuilder {
 
     /// Install the self-driving runtime (design decision D15): learned
     /// statistics feed the planner's selectivity estimates, the
-    /// advisor auto-builds a mirror for aggregates past break-even, and
+    /// advisor auto-builds the mirror past break-even, and
     /// a regret tracker reverts adaptations that regress. Build the
     /// runtime with `AdaptiveRuntime::new` (optionally
     /// `.with_export(sink)` to stream `adapt` events for
@@ -207,11 +200,8 @@ impl DrugTreeBuilder {
         if self.collect_stats {
             executor.collect_stats(&dataset)?;
         }
-        // One mirror, built once, at the widest scope asked for.
         if self.build_columnar {
             executor.build_columnar(&dataset)?;
-        } else if self.build_matview {
-            executor.build_matview(&dataset)?;
         }
         Ok(DrugTree::from_parts(dataset, executor))
     }
@@ -491,13 +481,13 @@ mod tests {
     }
 
     #[test]
-    fn with_matview_answers_aggregates_locally() {
+    fn with_columnar_answers_aggregates_locally() {
         let (p, l, a) = sources();
         let system = DrugTree::builder()
             .register_source(p)
             .register_source(l)
             .register_source(a)
-            .with_matview()
+            .with_columnar()
             .build()
             .unwrap();
         let r = system.query("aggregate count in tree").unwrap();
@@ -526,7 +516,7 @@ mod tests {
         // Repeated whole-tree aggregates (with cache invalidation in
         // between, as a refreshing deployment would see) accumulate
         // foregone cost until the advisor crosses break-even and
-        // builds the view on its own.
+        // builds the mirror on its own.
         for _ in 0..50 {
             if rt.snapshot().view_built {
                 break;
@@ -534,7 +524,7 @@ mod tests {
             system.executor().invalidate();
             system.query("aggregate count in tree").unwrap();
         }
-        assert!(rt.snapshot().view_built, "advisor built the view");
+        assert!(rt.snapshot().view_built, "advisor built the mirror");
         assert!(sink
             .lines()
             .iter()
@@ -544,7 +534,7 @@ mod tests {
         system.executor().invalidate();
         let served = system.query("aggregate count in tree").unwrap();
         assert_eq!(served.metrics.source_requests, 0);
-        assert!(rt.snapshot().advisor.hits > 0, "amortization is tracked");
+        assert!(rt.snapshot().advisor.hits > 0, "hits are counted");
     }
 
     #[test]

@@ -205,7 +205,7 @@ mod tests {
         let compact = SuccinctTree::from_tree(&tree).unwrap();
         let n = tree.len();
         assert_eq!(compact.memory_bytes(), 4 * (3 * n + n + 1));
-        // Well under 20 bytes amortized even with the prefix array.
+        // Well under 20 bytes per node even with the prefix array.
         assert!(compact.memory_bytes() <= 20 * n);
     }
 

@@ -1,15 +1,14 @@
 //! The auto-materialization advisor.
 //!
-//! Folds slow-path *matview-answerable* queries (pure whole-clade
+//! Folds slow-path *mirror-answerable* queries (pure whole-clade
 //! aggregates the planner had to execute without a columnar mirror
 //! to answer them) into
 //! per-shape cumulative foregone cost — dedup count × charged latency,
 //! the same arithmetic `drugtree top` renders from the slow-log. Once
 //! the cumulative foregone cost crosses the measured break-even (the
 //! E7 trade: one build scan vs the hits it saves), the advisor tells
-//! the runtime to build the mirror. Afterwards it tracks amortization —
-//! build cost vs latency actually saved by hits — and flags a mirror
-//! that never pays off for eviction.
+//! the runtime to build the mirror. Afterwards it counts the queries
+//! the mirror serves and flags one that serves nothing for eviction.
 
 use rustc_hash::FxHashMap;
 use std::time::Duration;
@@ -34,7 +33,7 @@ impl Default for AdvisorConfig {
     }
 }
 
-/// One matview-answerable shape's accumulated foregone cost.
+/// One mirror-answerable shape's accumulated foregone cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShapeCost {
     /// Plan-shape fingerprint.
@@ -49,20 +48,19 @@ pub struct ShapeCost {
     pub last_seen_ns: u64,
 }
 
-/// Amortization bookkeeping for the one built view.
+/// Bookkeeping for the one built view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BuiltView {
     at_ns: u64,
     build_cost: Duration,
     hits: u64,
-    saved: Duration,
     last_hit_ns: u64,
 }
 
 /// Counters and state of the advisor, for reports and E17.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdvisorSnapshot {
-    /// Distinct matview-answerable shapes observed.
+    /// Distinct mirror-answerable shapes observed.
     pub shapes: usize,
     /// Total unserved occurrences folded in.
     pub candidates: u64,
@@ -74,8 +72,6 @@ pub struct AdvisorSnapshot {
     pub build_cost: Duration,
     /// Queries served by the built view.
     pub hits: u64,
-    /// Charged latency saved by those hits.
-    pub saved: Duration,
     /// Views evicted as never-paying-off.
     pub evictions: u64,
 }
@@ -105,11 +101,11 @@ impl MatviewAdvisor {
         }
     }
 
-    /// Fold one matview-answerable query that executed *without* a
-    /// view. `measured_break_even` is the runtime's scan-cost proxy,
+    /// Fold one mirror-answerable query that executed *without* a
+    /// mirror. `measured_break_even` is the runtime's scan-cost proxy,
     /// used unless the config pins an override. Returns `true` when
     /// this occurrence pushes the cumulative foregone cost past
-    /// break-even — i.e. the runtime should build the view now.
+    /// break-even — i.e. the runtime should build the mirror now.
     pub fn note_candidate(
         &mut self,
         fingerprint: u64,
@@ -134,31 +130,23 @@ impl MatviewAdvisor {
         self.built.is_none() && self.foregone_total > break_even
     }
 
-    /// The view was built: start the amortization ledger.
+    /// The view was built: start counting its hits.
     pub fn record_build(&mut self, at_ns: u64, build_cost: Duration) {
         self.built = Some(BuiltView {
             at_ns,
             build_cost,
             hits: 0,
-            saved: Duration::ZERO,
             last_hit_ns: at_ns,
         });
         self.foregone_total = Duration::ZERO;
     }
 
-    /// A query was served by the built view, saving roughly `saved`
-    /// charged latency versus the unserved path.
-    pub fn note_hit(&mut self, saved: Duration, now_ns: u64) {
+    /// A query was served by the built view.
+    pub fn note_hit(&mut self, now_ns: u64) {
         if let Some(b) = &mut self.built {
             b.hits += 1;
-            b.saved += saved;
             b.last_hit_ns = b.last_hit_ns.max(now_ns);
         }
-    }
-
-    /// Whether the built view has earned back its build cost.
-    pub fn amortized(&self) -> bool {
-        self.built.is_some_and(|b| b.saved >= b.build_cost)
     }
 
     /// Whether the built view should be evicted: it has served nothing
@@ -181,8 +169,7 @@ impl MatviewAdvisor {
         }
     }
 
-    /// Mean charged latency this shape paid per unserved occurrence —
-    /// the per-hit savings estimate once a view serves it.
+    /// Mean charged latency this shape paid per unserved occurrence.
     pub fn mean_foregone(&self, fingerprint: u64) -> Option<Duration> {
         self.shapes
             .get(&fingerprint)
@@ -199,7 +186,6 @@ impl MatviewAdvisor {
             built: self.built.is_some(),
             build_cost: self.built.map_or(Duration::ZERO, |b| b.build_cost),
             hits: self.built.map_or(0, |b| b.hits),
-            saved: self.built.map_or(Duration::ZERO, |b| b.saved),
             evictions: self.evictions,
         }
     }
@@ -261,21 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn amortization_tracks_build_cost_vs_saved() {
-        let mut a = advisor();
-        a.note_candidate(1, || "agg".into(), ms(50), 1, ms(10));
-        a.record_build(1, ms(30));
-        assert!(!a.amortized());
-        a.note_hit(ms(20), 2);
-        assert!(!a.amortized());
-        a.note_hit(ms(20), 3);
-        assert!(a.amortized(), "40ms saved >= 30ms build");
-        let snap = a.snapshot();
-        assert_eq!(snap.hits, 2);
-        assert_eq!(snap.saved, ms(40));
-    }
-
-    #[test]
     fn idle_views_evict_and_accumulation_restarts() {
         let mut a = advisor();
         a.note_candidate(1, || "agg".into(), ms(50), 1_000_000, ms(10));
@@ -292,7 +263,7 @@ mod tests {
         // A view that took even one hit is never idle-evicted.
         a.note_candidate(1, || "agg".into(), ms(50), 2_000_000, ms(10));
         a.record_build(2_000_000, ms(30));
-        a.note_hit(ms(1), 2_000_001);
+        a.note_hit(2_000_001);
         assert!(!a.should_evict(u64::MAX));
     }
 

@@ -7,10 +7,10 @@
 //!   observed span cardinalities replace the nominal selectivity
 //!   guesses (through the [`seam`]) so E12-class estimate errors
 //!   shrink from measured data, with virtual-clock staleness.
-//! * [`advisor`] — slow matview-answerable shapes accumulate foregone
+//! * [`advisor`] — slow mirror-answerable shapes accumulate foregone
 //!   cost (dedup count × charged latency); past the E7 break-even the
-//!   columnar mirror is built automatically to answer aggregates,
-//!   amortization is tracked, and never-paying-off mirrors are evicted.
+//!   columnar mirror is built automatically, its hits are counted, and
+//!   mirrors that serve nothing are evicted.
 //! * adaptive prefetch lives in the mobile crate (per-session gesture
 //!   classification), but reports its policy switches here so they
 //!   flow into the same `adapt` event stream.
@@ -78,8 +78,8 @@ pub struct QueryFeedback<'q> {
     /// provably-non-matching leaves drop), so a nonzero count does not
     /// disqualify the cardinality sample; it is carried for reports.
     pub pruned_leaves: u32,
-    /// The query had an aggregate finish the mirror could have
-    /// answered, but none was installed.
+    /// The query was a pure whole-clade aggregate that no mirror
+    /// served.
     pub matview_candidate: bool,
     /// The query *was* served by the adaptively-built mirror.
     pub served_by_adaptive: bool,
@@ -195,8 +195,8 @@ impl AdaptiveRuntime {
         &self.learned
     }
 
-    /// The adaptively-built mirror answering aggregates, when one is
-    /// installed and the runtime is not frozen.
+    /// The adaptively-built mirror, when one is installed and the
+    /// runtime is not frozen.
     pub fn mirror(&self) -> Option<Arc<ActivityColumns>> {
         if self.frozen() {
             return None;
@@ -285,7 +285,7 @@ impl AdaptiveRuntime {
     }
 
     /// Auto-materialization loop: accumulate foregone cost, build past
-    /// break-even, credit hits, evict never-paying-off mirrors.
+    /// break-even, count hits, evict mirrors that serve nothing.
     fn drive_matview(
         &self,
         dataset: &Dataset,
@@ -294,12 +294,7 @@ impl AdaptiveRuntime {
         now_ns: u64,
     ) -> Result<()> {
         if feedback.served_by_adaptive {
-            let mut advisor = self.advisor.lock();
-            let saved = advisor
-                .mean_foregone(feedback.fingerprint)
-                .unwrap_or(Duration::ZERO)
-                .saturating_sub(feedback.charged);
-            advisor.note_hit(saved, now_ns);
+            self.advisor.lock().note_hit(now_ns);
             return Ok(());
         }
         let matview_reverted = self.regret.lock().is_reverted(ARM_MATVIEW);
@@ -372,7 +367,8 @@ impl AdaptiveRuntime {
     /// Regret guardrail: feed this query's charged latency to every
     /// arm *whose adaptation could have influenced it* — queries with
     /// a pushed comparison judge the learned-statistics arm, and
-    /// aggregate-shaped queries judge the matview arm — and undo any
+    /// advisor candidates plus mirror-served queries judge the matview
+    /// arm — and undo any
     /// adaptation that regressed past threshold. Scoping the latency
     /// populations per arm keeps a workload-mix shift (e.g. cheap view
     /// hits arriving mid-stream) from reading as regression on an
@@ -563,7 +559,7 @@ mod tests {
             .collect();
         assert_eq!(applies.len(), 1);
         assert!(applies[0].contains("break-even crossed"));
-        // Hits credit amortization.
+        // Hits are counted.
         let mut hit = feedback(None);
         hit.served_by_adaptive = true;
         hit.fingerprint = fb.fingerprint;

@@ -17,13 +17,12 @@
 //! detected by comparing record counts per source with those at build
 //! time.
 //!
-//! The mirror is also the only aggregate store: a pure whole-clade
-//! aggregate ([`Access::MaterializedView`]) folds each child's row
-//! range with the sum/count/max/distinct kernels. Summing in rank
-//! order over deduped rows gives the fetch path's answer bit for bit.
+//! The mirror is also the only aggregate store: a pure aggregate over
+//! a columnar scan folds each child's row range with the
+//! sum/count/max/distinct kernels. Summing in rank order over deduped
+//! rows gives the fetch path's answer bit for bit.
 //!
 //! [`Access::ColumnarScan`]: crate::plan::Access::ColumnarScan
-//! [`Access::MaterializedView`]: crate::plan::Access::MaterializedView
 
 use crate::dataset::{activity_half_schema, unify_assay_row, Dataset};
 use crate::exec::dedupe_most_recent;
@@ -112,23 +111,6 @@ impl ActivityColumns {
     pub fn table(&self) -> &ColumnarTable {
         &self.table
     }
-
-    /// Bytes held by the typed segments (approximate, for reporting).
-    pub fn memory_bytes(&self) -> usize {
-        // 8 bytes per numeric cell, 4 per dictionary code; validity is
-        // 1 bit per cell. Close enough for capacity planning output.
-        let per_row: usize = self
-            .table
-            .schema()
-            .columns()
-            .iter()
-            .map(|c| match c.ty {
-                drugtree_store::value::ValueType::Text => 4,
-                _ => 8,
-            })
-            .sum();
-        self.table.len() * (per_row + self.table.schema().arity().div_ceil(8))
-    }
 }
 
 #[cfg(test)]
@@ -190,11 +172,5 @@ mod tests {
         let mut stale = c.clone();
         stale.source_counts[0].1 += 1;
         assert!(!stale.is_fresh(&d));
-    }
-
-    #[test]
-    fn memory_accounting_scales_with_rows() {
-        let (c, _) = mirror_and_dataset();
-        assert!(c.memory_bytes() >= c.len() * 8);
     }
 }

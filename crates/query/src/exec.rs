@@ -84,16 +84,6 @@ pub struct QueryResult {
     pub metrics: ExecMetrics,
 }
 
-/// Which queries the executor's columnar mirror may answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum MirrorScope {
-    /// Pure whole-clade aggregates only ([`Access::MaterializedView`]).
-    Aggregates,
-    /// Every interval scope ([`Access::ColumnarScan`]), and the
-    /// aggregates above.
-    Intervals,
-}
-
 /// The executor: optimizer + semantic cache + statistics + mirror.
 ///
 /// `Send + Sync` by construction: every mutable piece sits behind a
@@ -104,8 +94,8 @@ pub struct Executor {
     optimizer: Optimizer,
     cache: Mutex<SemanticCache>,
     stats: Option<OverlayStats>,
-    /// The one local answer store, with the scope it may answer.
-    mirror: Option<(Arc<ActivityColumns>, MirrorScope)>,
+    /// The one local answer store, when built explicitly.
+    mirror: Option<Arc<ActivityColumns>>,
     retry: RetryPolicy,
     /// Calibrated cost model: prices plan alternatives in cost-based
     /// mode and accumulates observed-vs-estimated fetch latencies.
@@ -148,8 +138,8 @@ impl Executor {
 
     /// Install the self-driving runtime (design decision D15): learned
     /// statistics start feeding selectivity estimates, the advisor may
-    /// auto-build a mirror for aggregates, and every executed query is
-    /// folded back into the loops.
+    /// auto-build the mirror, and every executed query is folded back
+    /// into the loops.
     pub fn enable_adaptive(&mut self, runtime: Arc<AdaptiveRuntime>) {
         self.adaptive = Some(runtime);
     }
@@ -195,7 +185,7 @@ impl Executor {
     /// executing it (the mobile prefetch budgeter prices candidate
     /// subtrees this way).
     pub fn estimate(&self, dataset: &Dataset, query: &Query) -> Result<PlanEstimate> {
-        let plan = self.plan_query(dataset, self.aggregate_mirror().as_deref(), query)?;
+        let plan = self.plan_query(dataset, self.mirror().as_deref(), query)?;
         Ok(PlanEstimate {
             cost: plan.estimated_cost,
             rows: plan.estimated_rows,
@@ -216,42 +206,28 @@ impl Executor {
         Ok(())
     }
 
-    /// Build (or rebuild) the columnar activity mirror and let it
-    /// answer pure whole-clade aggregates (the `use_matview` rule). A
-    /// mirror already answering every interval scope keeps that scope.
-    /// Charges the build scan to the dataset clock.
-    ///
-    /// The benchmark harness under `perfbench/` calls this method by
-    /// name, so it stays until that harness changes;
-    /// [`Executor::build_columnar`] builds the same mirror with the
-    /// wider scope.
+    /// Alias of [`Executor::build_columnar`]. The benchmark harness
+    /// under `perfbench/` calls this method by name, so it stays until
+    /// that harness changes.
     pub fn build_matview(&mut self, dataset: &Dataset) -> Result<Duration> {
-        self.build_mirror(dataset, MirrorScope::Aggregates)
+        self.build_columnar(dataset)
     }
 
-    /// Build (or rebuild) the columnar activity mirror and let it
-    /// answer every interval scope. Charges the build scan to the
-    /// dataset clock. With a fresh mirror and the `columnar_scan` rule
-    /// enabled, interval scopes execute as local vectorized kernel
-    /// scans instead of source fetches.
+    /// Build (or rebuild) the columnar activity mirror. Charges the
+    /// build scan to the dataset clock. With a fresh mirror and the
+    /// `columnar_scan` rule enabled, interval scopes execute as local
+    /// vectorized kernel scans instead of source fetches.
     pub fn build_columnar(&mut self, dataset: &Dataset) -> Result<Duration> {
-        self.build_mirror(dataset, MirrorScope::Intervals)
-    }
-
-    /// Build the mirror, widening (never narrowing) the scope it may
-    /// answer.
-    fn build_mirror(&mut self, dataset: &Dataset, scope: MirrorScope) -> Result<Duration> {
         let mirror = ActivityColumns::build(dataset)?;
         let cost = mirror.build_cost;
         dataset.clock.advance(cost);
-        let scope = self.mirror.as_ref().map_or(scope, |(_, s)| scope.max(*s));
-        self.mirror = Some((Arc::new(mirror), scope));
+        self.mirror = Some(Arc::new(mirror));
         Ok(cost)
     }
 
-    /// The columnar activity mirror, if built (whatever its scope).
+    /// The explicitly built columnar activity mirror, if any.
     pub fn columnar(&self) -> Option<&ActivityColumns> {
-        self.mirror.as_ref().map(|(m, _)| m.as_ref())
+        self.mirror.as_deref()
     }
 
     /// Drop all cached results (call after a source refresh).
@@ -280,33 +256,25 @@ impl Executor {
         &self.optimizer
     }
 
-    /// The mirror that answers pure aggregates: the executor's own at
-    /// either scope, else the adaptively-built one (an explicit build
-    /// always wins, so enabling the adaptive layer cannot change a
-    /// session that manages its own mirror).
-    fn aggregate_mirror(&self) -> Option<Arc<ActivityColumns>> {
+    /// The mirror that answers local scans: the executor's own, else
+    /// the adaptively-built one (an explicit build always wins, so
+    /// enabling the adaptive layer cannot change a session that
+    /// manages its own mirror). A query takes one snapshot and plans
+    /// and executes against it.
+    fn mirror(&self) -> Option<Arc<ActivityColumns>> {
         match &self.mirror {
-            Some((m, _)) => Some(Arc::clone(m)),
+            Some(m) => Some(Arc::clone(m)),
             None => self.adaptive.as_ref().and_then(|a| a.mirror()),
         }
     }
 
-    /// The mirror that answers every interval scope, if any.
-    fn interval_mirror(&self) -> Option<&ActivityColumns> {
-        match &self.mirror {
-            Some((m, MirrorScope::Intervals)) => Some(m),
-            _ => None,
-        }
-    }
-
     /// Plan through the adaptive seam: learned statistics (when the
-    /// runtime serves them) feed selectivity, and `aggregates` is
-    /// whichever mirror — explicit or adaptively built — answers pure
-    /// aggregates.
+    /// runtime serves them) feed selectivity, and `mirror` is the
+    /// query's mirror snapshot.
     fn plan_query(
         &self,
         dataset: &Dataset,
-        aggregates: Option<&ActivityColumns>,
+        mirror: Option<&ActivityColumns>,
         query: &Query,
     ) -> Result<PhysicalPlan> {
         let learned = self.adaptive.as_ref().and_then(|a| a.planning_stats());
@@ -315,8 +283,7 @@ impl Executor {
             self.stats.as_ref(),
             learned,
             dataset.clock.now().0,
-            aggregates,
-            self.interval_mirror(),
+            mirror,
             Some(&self.cost),
             query,
         )
@@ -324,7 +291,7 @@ impl Executor {
 
     /// EXPLAIN a query without executing it.
     pub fn explain(&self, dataset: &Dataset, query: &Query) -> Result<String> {
-        let plan = self.plan_query(dataset, self.aggregate_mirror().as_deref(), query)?;
+        let plan = self.plan_query(dataset, self.mirror().as_deref(), query)?;
         self.validate_plan(dataset, &plan)?;
         Ok(plan.explain())
     }
@@ -385,10 +352,11 @@ impl Executor {
         query: &Query,
         mut sink: Option<&mut TraceBuilder>,
     ) -> Result<QueryResult> {
-        let aggregates = self.aggregate_mirror();
-        let plan = self.plan_query(dataset, aggregates.as_deref(), query)?;
+        let mirror = self.mirror();
+        let plan = self.plan_query(dataset, mirror.as_deref(), query)?;
         self.validate_plan(dataset, &plan)?;
-        let served_by_adaptive = self.mirror.is_none() && plan.access == Access::MaterializedView;
+        let local = matches!(plan.access, Access::ColumnarScan { .. });
+        let served_by_adaptive = self.mirror.is_none() && local;
         let started = dataset.clock.now();
         if let Some(tb) = sink.as_deref_mut() {
             tb.record_plan(&plan, started);
@@ -415,16 +383,11 @@ impl Executor {
             && plan.residual == Predicate::True
             && plan.similarity.is_none()
             && plan.substructure.is_none();
-        let mirror = match &plan.access {
-            Access::MaterializedView => aggregates.as_deref(),
-            Access::ColumnarScan { .. } => self.interval_mirror(),
-            _ => None,
-        };
-        let (columns, out_rows, rows_in) = match mirror {
-            Some(cols) if pure_aggregate => {
-                self.columnar_aggregate(dataset, cols, &plan, &mut m, sink)?
+        let (columns, out_rows, rows_in) = match (&plan.access, mirror.as_deref()) {
+            (Access::ColumnarScan { pushdown }, Some(cols)) if pure_aggregate => {
+                self.columnar_aggregate(dataset, cols, &plan, pushdown.as_ref(), &mut m, sink)?
             }
-            _ => self.row_path(dataset, &plan, &mut m, sink)?,
+            _ => self.row_path(dataset, mirror.as_deref(), &plan, &mut m, sink)?,
         };
 
         m.finished = dataset.clock.now();
@@ -434,10 +397,9 @@ impl Executor {
         // the adaptive runtime (learned cardinalities, the advisor's
         // break-even ledger, the regret guardrail).
         if let Some(adaptive) = &self.adaptive {
-            // A mirror-answerable aggregate the view access did not
-            // serve: the same gate `use_matview` applies, minus mirror
-            // presence.
-            let matview_candidate = plan.access != Access::MaterializedView
+            // A pure whole-clade aggregate the mirror did not serve:
+            // the shape the advisor builds a mirror for.
+            let matview_candidate = !local
                 && pure_aggregate
                 && plan.interval == dataset.index.interval(plan.scope_node);
             let feedback = QueryFeedback {
@@ -474,6 +436,7 @@ impl Executor {
     fn row_path(
         &self,
         dataset: &Dataset,
+        mirror: Option<&ActivityColumns>,
         plan: &PhysicalPlan,
         m: &mut ExecMetrics,
         mut sink: Option<&mut TraceBuilder>,
@@ -481,14 +444,9 @@ impl Executor {
         // 1. Obtain activity-half rows.
         let activity_rows: Vec<Vec<Value>> = match &plan.access {
             Access::ProvedEmpty => Vec::new(),
-            Access::MaterializedView => {
-                return Err(QueryError::Plan(
-                    "matview plan the mirror cannot answer".into(),
-                ))
-            }
             Access::ColumnarScan { pushdown } => {
-                // Only planned when the executor carries the mirror.
-                let cols = self.interval_mirror().ok_or_else(|| {
+                // Only planned against a mirror snapshot.
+                let cols = mirror.ok_or_else(|| {
                     QueryError::Plan("columnar plan without a built mirror".into())
                 })?;
                 let (_, selection) = self.columnar_select(
@@ -671,15 +629,14 @@ impl Executor {
 
     /// Aggregate-kernel path: fold each child interval's selected range
     /// with the count/distinct/sum/max kernels, byte-identical to
-    /// materializing the rows and running the generic finish. A view
-    /// plan folds whole clades; a columnar scan folds its pushdown's
-    /// selection. Returns the result columns and rows plus the number
-    /// of rows selected.
+    /// materializing the rows and running the generic finish. Returns
+    /// the result columns and rows plus the number of rows selected.
     fn columnar_aggregate(
         &self,
         dataset: &Dataset,
         cols: &ActivityColumns,
         plan: &PhysicalPlan,
+        pushdown: Option<&Predicate>,
         m: &mut ExecMetrics,
         mut sink: Option<&mut TraceBuilder>,
     ) -> Result<(Vec<String>, Vec<Vec<Value>>, u64)> {
@@ -688,10 +645,6 @@ impl Executor {
                 "aggregate kernels need an aggregate finish".into(),
             ));
         };
-        let (pushdown, detail) = match &plan.access {
-            Access::ColumnarScan { pushdown } => (pushdown.as_ref(), "columnar-aggregate"),
-            _ => (None, "matview"),
-        };
         let (_, selection) = self.columnar_select(
             dataset,
             cols,
@@ -699,7 +652,7 @@ impl Executor {
             pushdown,
             m,
             sink.as_deref_mut(),
-            detail,
+            "columnar-aggregate",
         )?;
         let finish_started = dataset.clock.now();
         // ligand_id and p_activity are columns 2 and 5 of the
@@ -1158,17 +1111,17 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_served_by_matview() {
+    fn aggregate_served_by_columnar_mirror() {
         let d = small_dataset(SourceCapabilities::full());
         let naive = executor(OptimizerConfig::naive());
         let mut e = executor(OptimizerConfig::full());
-        e.build_matview(&d).unwrap();
+        e.build_columnar(&d).unwrap();
         let q = Query::activities(Scope::Tree).aggregate(Metric::Count);
         let r = e.execute(&d, &q).unwrap();
-        assert_eq!(r.metrics.source_requests, 0, "view answers without fetch");
+        assert_eq!(r.metrics.source_requests, 0, "mirror answers without fetch");
         assert_eq!(r.rows[0][3], Value::Int(3));
         assert_eq!(r.rows[1][3], Value::Int(1));
-        assert!(r.metrics.notes.iter().any(|n| n.contains("matview")));
+        assert!(r.metrics.notes.iter().any(|n| n.contains("columnar-scan")));
         // Every metric matches naive, including cladeB's empty child
         // P4 (count 0, NULL potency).
         for scope in [Scope::Tree, Scope::Subtree("cladeB".into())] {
@@ -1192,8 +1145,8 @@ mod tests {
             .find(|row| row[0] == Value::from("P4"))
             .unwrap();
         assert_eq!(p4[3], Value::Null);
-        // The plan prices the view access at the kernel charge the
-        // executor makes for it.
+        // The plan prices the scan at the kernel charge the executor
+        // makes for it.
         e.collect_stats(&d).unwrap();
         let q = Query::activities(Scope::Tree).aggregate(Metric::Count);
         let analyzed = e.analyze(&d, &q).unwrap();
@@ -1226,9 +1179,9 @@ mod tests {
     fn aggregates_served_by_columnar_kernels() {
         let d = small_dataset(SourceCapabilities::full());
         let naive = executor(OptimizerConfig::naive());
-        // With the view access ablated, aggregates plan as columnar
-        // scans and fold their selection with the same kernels.
-        let mut e = executor(OptimizerConfig::ablate("use_matview").unwrap());
+        // Cost-based planning prices the scan against the fetch
+        // alternatives, picks it, and folds with the same kernels.
+        let mut e = executor(OptimizerConfig::cost_based());
         e.build_columnar(&d).unwrap();
         for metric in [
             Metric::Count,
@@ -1262,20 +1215,6 @@ mod tests {
             analyzed.trace.stage_total(crate::trace::Stage::Fetch),
             Duration::ZERO
         );
-    }
-
-    #[test]
-    fn matview_still_preferred_over_columnar_for_aggregates() {
-        let d = small_dataset(SourceCapabilities::full());
-        let mut e = executor(OptimizerConfig::full());
-        e.build_matview(&d).unwrap();
-        e.build_columnar(&d).unwrap();
-        let q = Query::activities(Scope::Tree).aggregate(Metric::Count);
-        let r = e.execute(&d, &q).unwrap();
-        // Both builds share one mirror at the wider scope, and a pure
-        // whole-clade aggregate still plans as the view access.
-        assert!(r.metrics.notes.iter().any(|n| n.contains("matview")));
-        assert_eq!(r.rows[0][3], Value::Int(3));
     }
 
     #[test]

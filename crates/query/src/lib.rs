@@ -9,8 +9,8 @@
 //! the "lags concerning querying the tree" the paper opens with.
 //!
 //! The optimizer applies *standards* (predicate pushdown, interval
-//! rewriting of subtree scopes, cost-ordered residual filters,
-//! materialized aggregate views) and the poster's *novel mechanisms*
+//! rewriting of subtree scopes, cost-ordered residual filters, a
+//! local columnar mirror) and the poster's *novel mechanisms*
 //! for an interactive tree UI (semantic caching of subtree results
 //! with containment-based reuse, statistics-based subtree/source
 //! pruning, batched concurrent fetch):

@@ -78,7 +78,6 @@ pub fn plan_shape(plan: &PhysicalPlan) -> String {
         Access::ColumnarScan { pushdown } => {
             let _ = write!(s, "columnar-scan(pushdown={})", pred_shape_opt(pushdown));
         }
-        Access::MaterializedView => s.push_str("matview"),
         Access::ProvedEmpty => s.push_str("proved-empty"),
     }
     let _ = write!(s, " residual={}", pred_shape(&plan.residual));

@@ -16,7 +16,7 @@
 //! 3. **Optimize** applies the cost-reducing rewrites: statistics
 //!    pruning (D4), predicate pushdown, selectivity ordering,
 //!    cardinality estimation from the overlay histograms, replica
-//!    selection, and matview/columnar/cache eligibility.
+//!    selection, and columnar-mirror/cache eligibility.
 //! 4. **Lower** produces the physical shape: batching + concurrent
 //!    dispatch (D3), per-source fetch plans, access-path selection
 //!    (including the semantic cache wrap, D2), and the finish operator.
@@ -37,7 +37,7 @@
 //! With [`OptimizerConfig::cost_based`] set, the Lower phase's
 //! access-path selection switches from the flag-driven fixed order to
 //! enumeration: rules *propose* alternatives
-//! ([`crate::plan::PlanCandidate`] — matview answer vs. batched vs.
+//! ([`crate::plan::PlanCandidate`] — columnar-mirror answer vs. batched vs.
 //! per-key fetch; per-replica access paths; cached vs. direct) and the
 //! calibrated cost model ([`crate::cost::CostModel`], design decision
 //! D8) prices each one; the cheapest correct alternative wins and
@@ -100,9 +100,6 @@ pub struct OptimizerConfig {
     pub semantic_cache: bool,
     /// Reorder residual conjuncts by selectivity.
     pub selectivity_ordering: bool,
-    /// Answer pure whole-clade aggregates from the columnar mirror's
-    /// aggregate kernels when the executor lets the mirror answer them.
-    pub use_matview: bool,
     /// Serve each declared replica group from its cheapest member
     /// instead of fetching every copy.
     pub replica_selection: bool,
@@ -138,7 +135,6 @@ impl OptimizerConfig {
             stats_pruning: true,
             semantic_cache: true,
             selectivity_ordering: true,
-            use_matview: true,
             replica_selection: true,
             columnar_scan: true,
             validate: true,
@@ -169,7 +165,6 @@ impl OptimizerConfig {
             stats_pruning: false,
             semantic_cache: false,
             selectivity_ordering: false,
-            use_matview: false,
             replica_selection: false,
             columnar_scan: false,
             validate: false,
@@ -219,33 +214,30 @@ impl Optimizer {
         &self,
         dataset: &Dataset,
         stats: Option<&OverlayStats>,
-        aggregates: Option<&ActivityColumns>,
+        mirror: Option<&ActivityColumns>,
         query: &Query,
     ) -> Result<PhysicalPlan> {
-        self.plan_with(dataset, stats, aggregates, None, query)
+        self.plan_with(dataset, stats, mirror, None, query)
     }
 
     /// Plan a query, pricing cost-based alternatives with `cost` (the
     /// prior-only default model when absent). Fixed-order planning
-    /// ignores `cost` entirely. `aggregates` is a columnar mirror that
-    /// may answer pure whole-clade aggregates; interval scans need the
-    /// mirror passed to [`Optimizer::plan_adaptive`].
+    /// ignores `cost` entirely. `mirror` is a columnar activity mirror
+    /// that may answer any interval scope.
     pub fn plan_with(
         &self,
         dataset: &Dataset,
         stats: Option<&OverlayStats>,
-        aggregates: Option<&ActivityColumns>,
+        mirror: Option<&ActivityColumns>,
         cost: Option<&CostModel>,
         query: &Query,
     ) -> Result<PhysicalPlan> {
-        self.plan_adaptive(dataset, stats, None, 0, aggregates, None, cost, query)
+        self.plan_adaptive(dataset, stats, None, 0, mirror, cost, query)
     }
 
     /// Plan with every auxiliary structure the executor can carry: the
-    /// columnar activity mirror as an aggregate store (`aggregates`)
-    /// and as an interval store (`columnar`) — both may name the same
-    /// mirror — the calibrated cost model, and the adaptive layer's
-    /// learned statistics (design decision D15). When `learned` is
+    /// columnar activity mirror, the calibrated cost model, and the
+    /// adaptive layer's learned statistics (design decision D15). When `learned` is
     /// present, selectivity ordering and cardinality estimation route
     /// through a [`StatsView`] that prefers fresh learned coverage over
     /// the nominal histograms; `now_ns` is the virtual-clock instant
@@ -258,8 +250,7 @@ impl Optimizer {
         stats: Option<&OverlayStats>,
         learned: Option<&LearnedStats>,
         now_ns: u64,
-        aggregates: Option<&ActivityColumns>,
-        columnar: Option<&ActivityColumns>,
+        mirror: Option<&ActivityColumns>,
         cost: Option<&CostModel>,
         query: &Query,
     ) -> Result<PhysicalPlan> {
@@ -283,8 +274,7 @@ impl Optimizer {
             stats,
             learned,
             now_ns,
-            aggregates,
-            columnar,
+            mirror,
             cost_model,
             query,
         );
@@ -324,8 +314,7 @@ struct Rewrite<'a> {
     learned: Option<&'a LearnedStats>,
     /// Virtual-clock instant for the learned staleness check.
     now_ns: u64,
-    aggregates: Option<&'a ActivityColumns>,
-    columnar: Option<&'a ActivityColumns>,
+    mirror: Option<&'a ActivityColumns>,
     cost_model: Option<&'a CostModel>,
     query: &'a Query,
 
@@ -366,7 +355,6 @@ struct Rewrite<'a> {
     /// `Some` once replica selection ran; `None` means every assay
     /// source participates.
     chosen_sources: Option<Vec<Arc<dyn DataSource>>>,
-    matview_eligible: bool,
     columnar_ready: bool,
     cache_wrap: bool,
     cache_pred: Option<Predicate>,
@@ -385,8 +373,7 @@ impl<'a> Rewrite<'a> {
         stats: Option<&'a OverlayStats>,
         learned: Option<&'a LearnedStats>,
         now_ns: u64,
-        aggregates: Option<&'a ActivityColumns>,
-        columnar: Option<&'a ActivityColumns>,
+        mirror: Option<&'a ActivityColumns>,
         cost_model: Option<&'a CostModel>,
         query: &'a Query,
     ) -> Rewrite<'a> {
@@ -396,8 +383,7 @@ impl<'a> Rewrite<'a> {
             stats,
             learned,
             now_ns,
-            aggregates,
-            columnar,
+            mirror,
             cost_model,
             query,
             notes: Vec::new(),
@@ -422,7 +408,6 @@ impl<'a> Rewrite<'a> {
             key_values: Vec::new(),
             expected_rows: 0,
             chosen_sources: None,
-            matview_eligible: false,
             columnar_ready: false,
             cache_wrap: false,
             cache_pred: None,
@@ -807,40 +792,12 @@ impl<'a> Rewrite<'a> {
                     Changed
                 }
             }
-            "use_matview" => {
-                if !self.config.use_matview {
-                    Off
-                } else if self.is_done(rule.name) {
-                    NoChange
-                } else {
-                    // Eligibility is a correctness gate: the access
-                    // folds each child's whole row range with no
-                    // pushdown, so the scope must cover the clade
-                    // exactly — an interval or leaf-set scope that only
-                    // partially covers its tightest enclosing clade
-                    // aggregates a subset of each child's rows. (Found
-                    // by the differential oracle.)
-                    let eligible = self.aggregates.is_some_and(|c| c.is_fresh(self.dataset))
-                        && matches!(self.query.kind, QueryKind::AggregateChildren { .. })
-                        && self.interval() == self.dataset.index.interval(self.scope())
-                        && self.canonical == Predicate::True
-                        && self.similarity.is_none()
-                        && self.substructure.is_none();
-                    if eligible {
-                        self.mark_done(rule.name);
-                        self.matview_eligible = true;
-                        Changed
-                    } else {
-                        NotApplicable
-                    }
-                }
-            }
             "columnar_scan" => {
                 if !self.config.columnar_scan {
                     Off
                 } else if self.is_done(rule.name) {
                     NoChange
-                } else if !self.columnar.is_some_and(|c| c.is_fresh(self.dataset)) {
+                } else if !self.mirror.is_some_and(|c| c.is_fresh(self.dataset)) {
                     // The mirror replays the fetch path's row pipeline
                     // at build time, so any interval scope can be
                     // served locally as long as no source has drifted.
@@ -1057,16 +1014,12 @@ impl<'a> Rewrite<'a> {
                     per_source.sum()
                 }
             };
-            // Both mirror accesses run the same kernels over the
-            // interval's rows and are charged alike; the view access is
-            // listed first so it wins the tie.
-            let local_secs = crate::cost::columnar_scan_secs(expected_rows);
             let mut alternatives: Vec<(&str, f64)> = Vec::new();
-            if self.matview_eligible {
-                alternatives.push(("matview", local_secs));
-            }
             if self.columnar_ready {
-                alternatives.push(("columnar-scan", local_secs));
+                alternatives.push((
+                    "columnar-scan",
+                    crate::cost::columnar_scan_secs(expected_rows),
+                ));
             }
             alternatives.push(("batched-fetch", price_variant(true)));
             alternatives.push(("per-key-fetch", price_variant(false)));
@@ -1083,11 +1036,7 @@ impl<'a> Rewrite<'a> {
                     group: "access".into(),
                     label: (*label).to_string(),
                     cost_secs: *cost_secs,
-                    rows: if *label == "matview" {
-                        0
-                    } else {
-                        expected_rows
-                    },
+                    rows: expected_rows,
                     chosen: *label == chosen_label,
                 });
             }
@@ -1095,8 +1044,8 @@ impl<'a> Rewrite<'a> {
                 "cost-based: access={chosen_label} est={:?} est_rows={expected_rows}",
                 crate::cost::secs_to_duration(best)
             ));
-            if chosen_label == "matview" || chosen_label == "columnar-scan" {
-                return self.local_access(chosen_label == "matview");
+            if chosen_label == "columnar-scan" {
+                return self.columnar_access();
             }
             let batched = chosen_label == "batched-fetch";
             let fetches: Vec<FetchPlan> = sources
@@ -1144,8 +1093,8 @@ impl<'a> Rewrite<'a> {
             };
         }
         // Fixed pipeline: flag order decides.
-        if self.matview_eligible || self.columnar_ready {
-            self.local_access(self.matview_eligible)
+        if self.columnar_ready {
+            self.columnar_access()
         } else if self.cache_wrap {
             Access::CacheProbe {
                 pushdown: self.cache_pred.clone(),
@@ -1161,14 +1110,8 @@ impl<'a> Rewrite<'a> {
         }
     }
 
-    /// A mirror access, noted for EXPLAIN: the view access for a pure
-    /// whole-clade aggregate, else a columnar scan of the interval.
-    fn local_access(&mut self, view: bool) -> Access {
-        if view {
-            self.notes
-                .push("matview: aggregate served from the columnar mirror".into());
-            return Access::MaterializedView;
-        }
+    /// A columnar scan of the interval, noted for EXPLAIN.
+    fn columnar_access(&mut self) -> Access {
         let interval = self.interval();
         self.notes.push(format!(
             "columnar-scan: interval [{}, {}) served by vectorized kernels",
@@ -1189,13 +1132,11 @@ impl<'a> Rewrite<'a> {
         // combines charged latency; a mirror access's estimate is the
         // modeled local-compute term.
         let estimated_cost = match &access {
-            Access::ColumnarScan { .. } | Access::MaterializedView => {
-                crate::cost::columnar_scan_cost(self.expected_rows)
-            }
+            Access::ColumnarScan { .. } => crate::cost::columnar_scan_cost(self.expected_rows),
             _ => combine_access_cost(&access),
         };
         let estimated_rows = match &access {
-            Access::MaterializedView | Access::ProvedEmpty => 0,
+            Access::ProvedEmpty => 0,
             _ => self.expected_rows,
         };
         let (Some(scope_node), Some(interval)) = (self.scope_node, self.interval) else {
@@ -1518,9 +1459,7 @@ fn combine_access_cost(access: &Access) -> Duration {
         } => (on_miss, *concurrent_sources),
         // Mirror accesses price via the compute model, not fetch
         // estimates; the caller special-cases them before combining.
-        Access::ColumnarScan { .. } | Access::MaterializedView | Access::ProvedEmpty => {
-            return Duration::ZERO
-        }
+        Access::ColumnarScan { .. } | Access::ProvedEmpty => return Duration::ZERO,
     };
     if concurrent_sources {
         fetches
@@ -1731,21 +1670,31 @@ mod tests {
     }
 
     #[test]
-    fn matview_rejected_for_partial_clade_coverage() {
+    fn partial_clade_aggregate_scans_only_its_interval() {
         let d = dataset();
-        let view = ActivityColumns::build(&d).unwrap();
+        let mirror = ActivityColumns::build(&d).unwrap();
         let opt = Optimizer::new(OptimizerConfig::full());
-        // Whole tree: eligible.
-        let q = Query::activities(Scope::Tree).aggregate(Metric::Count);
-        let plan = opt.plan(&d, None, Some(&view), &q).unwrap();
-        assert_eq!(plan.access, Access::MaterializedView);
+        let naive = crate::exec::Executor::new(Optimizer::new(OptimizerConfig::naive()));
+        let mut local = crate::exec::Executor::new(Optimizer::new(OptimizerConfig::full()));
+        local.build_columnar(&d).unwrap();
         // Leaves P2..P3 span clades A and B, so the tightest clade is
-        // the whole root but the interval is [1, 3): whole-clade
-        // aggregates would overcount. (Differential-oracle regression.)
-        let q = Query::activities(Scope::Leaves(vec!["P2".into(), "P3".into()]))
-            .aggregate(Metric::Count);
-        let plan = opt.plan(&d, None, Some(&view), &q).unwrap();
-        assert_ne!(plan.access, Access::MaterializedView);
+        // the whole root but the interval is [1, 3): the scan folds only
+        // the rows inside it, never a child's whole clade.
+        // (Differential-oracle regression.)
+        for metric in [
+            Metric::Count,
+            Metric::DistinctLigands,
+            Metric::MeanPActivity,
+            Metric::MaxPActivity,
+        ] {
+            let q =
+                Query::activities(Scope::Leaves(vec!["P2".into(), "P3".into()])).aggregate(metric);
+            let plan = opt.plan(&d, None, Some(&mirror), &q).unwrap();
+            assert_eq!(plan.access, Access::ColumnarScan { pushdown: None });
+            let r = local.execute(&d, &q).unwrap();
+            assert_eq!(r.metrics.source_requests, 0, "{metric:?}");
+            assert_eq!(r.rows, naive.execute(&d, &q).unwrap().rows, "{metric:?}");
+        }
     }
 
     #[test]

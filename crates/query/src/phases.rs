@@ -6,7 +6,7 @@
 //! and key discovery), **Canonicalize** normalizes the predicate (NNF,
 //! flattening, constant folding, `between` merging, deduplication),
 //! **Optimize** applies the cost-reducing rewrites (pruning, pushdown,
-//! selectivity ordering, matview/cache/candidate enumeration), and
+//! selectivity ordering, mirror/cache/candidate enumeration), and
 //! **Lower** turns the optimized draft into the physical plan
 //! (batching, fetch construction, access selection, finish shape).
 //!
@@ -139,9 +139,6 @@ fn t_pushdown(c: &mut OptimizerConfig, on: bool) {
 fn t_replica_selection(c: &mut OptimizerConfig, on: bool) {
     c.replica_selection = on;
 }
-fn t_use_matview(c: &mut OptimizerConfig, on: bool) {
-    c.use_matview = on;
-}
 fn t_columnar_scan(c: &mut OptimizerConfig, on: bool) {
     c.columnar_scan = on;
 }
@@ -245,12 +242,6 @@ pub const REGISTRY: &[RuleDef] = &[
         phase: RewritePhase::Optimize,
         description: "fetch each replica group from its cheapest member only",
         toggle: Some(t_replica_selection),
-    },
-    RuleDef {
-        name: "use_matview",
-        phase: RewritePhase::Optimize,
-        description: "answer whole-clade aggregates from the columnar mirror",
-        toggle: Some(t_use_matview),
     },
     RuleDef {
         name: "columnar_scan",

@@ -82,10 +82,6 @@ pub enum Access {
         /// residual still re-applies the full query predicate).
         pushdown: Option<Predicate>,
     },
-    /// A pure whole-clade aggregate answered from the columnar mirror:
-    /// the aggregate kernels fold each child's whole row range, with no
-    /// pushdown and no source round-trip.
-    MaterializedView,
     /// Proven empty by statistics; no access at all.
     ProvedEmpty,
 }
@@ -220,9 +216,6 @@ impl PhysicalPlan {
                     "  ColumnarScan kernels=range-slice+filter pushdown={}",
                     fmt_pred_opt(pushdown)
                 );
-            }
-            Access::MaterializedView => {
-                let _ = writeln!(out, "  MaterializedView");
             }
             Access::ProvedEmpty => {
                 let _ = writeln!(out, "  ProvedEmpty (statistics)");

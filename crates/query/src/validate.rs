@@ -27,10 +27,6 @@
 //!   the miss-path pushdown plus (at most) the statistics-pruning
 //!   `p_activity >=` bound; anything else would reuse cached entries
 //!   under the wrong key.
-//! * **matview-purity** — the view access folds whole clades of the
-//!   columnar mirror with no pushdown, so it only answers pure
-//!   per-child aggregates over a whole clade: no residual predicate,
-//!   no similarity, no substructure, no partial-clade interval.
 //! * **columnar-kernel-columns** — a columnar scan's pushdown
 //!   references only columns of the activity-half mirror schema, so
 //!   every predicate leaf has a vectorized kernel to run on.
@@ -89,8 +85,6 @@ pub const RULE_PUSHDOWN_CAPABILITY: &str = "pushdown-capability";
 pub const RULE_PRUNING: &str = "pruning-consistency";
 /// Rule name: cache probe key consistent with the miss-path pushdown.
 pub const RULE_CACHE_KEY: &str = "cache-key-consistency";
-/// Rule name: the view access only answers pure whole-clade aggregates.
-pub const RULE_MATVIEW: &str = "matview-purity";
 /// Rule name: columnar pushdown columns exist in the mirror schema.
 pub const RULE_COLUMNAR: &str = "columnar-kernel-columns";
 /// Rule name: finish operator addresses real columns and intervals.
@@ -132,7 +126,6 @@ impl<'a> PlanValidator<'a> {
         self.check_interval(plan, &mut out);
         self.check_fetches(plan, &mut out);
         self.check_cache_key(plan, &mut out);
-        self.check_matview(plan, &mut out);
         self.check_columnar(plan, &mut out);
         self.check_finish(plan, &mut out);
         self.check_costs(plan, &mut out);
@@ -411,54 +404,6 @@ impl<'a> PlanValidator<'a> {
         }
     }
 
-    fn check_matview(&self, plan: &PhysicalPlan, out: &mut Vec<InvariantViolation>) {
-        if plan.access != Access::MaterializedView {
-            return;
-        }
-        if plan.residual != Predicate::True {
-            out.push(InvariantViolation {
-                rule: RULE_MATVIEW,
-                path: "access".into(),
-                explanation: format!(
-                    "the view access cannot answer under residual predicate `{}`",
-                    fmt_pred(&plan.residual)
-                ),
-            });
-        }
-        if plan.similarity.is_some() || plan.substructure.is_some() {
-            out.push(InvariantViolation {
-                rule: RULE_MATVIEW,
-                path: "access".into(),
-                explanation: "the view access cannot answer under structural constraints".into(),
-            });
-        }
-        if !matches!(plan.finish, Finish::AggregateChildren { .. }) {
-            out.push(InvariantViolation {
-                rule: RULE_MATVIEW,
-                path: "finish".into(),
-                explanation: "the view access only answers per-child aggregates".into(),
-            });
-        }
-        // The view access folds each child's whole row range: a scope
-        // interval that only partially covers its clade needs a
-        // filtered scan.
-        // (Bounds-checked so a malformed scope_node cannot panic.)
-        if plan.scope_node.index() < self.dataset.index.node_count() {
-            let clade = self.dataset.index.interval(plan.scope_node);
-            if plan.interval != clade {
-                out.push(InvariantViolation {
-                    rule: RULE_MATVIEW,
-                    path: "interval".into(),
-                    explanation: format!(
-                        "the view access answers whole clades, but scope interval \
-                         [{}, {}) covers clade n{} = [{}, {}) only partially",
-                        plan.interval.lo, plan.interval.hi, plan.scope_node.0, clade.lo, clade.hi
-                    ),
-                });
-            }
-        }
-    }
-
     /// A columnar scan's pushdown runs as bitmap kernels over the
     /// activity mirror, so every column it names must exist in the
     /// activity-half schema (binding would fail at execution time,
@@ -675,7 +620,7 @@ fn fetches_of(access: &Access) -> Vec<(String, &FetchPlan)> {
             .enumerate()
             .map(|(i, f)| (format!("access.on_miss[{i}]"), f))
             .collect(),
-        Access::ColumnarScan { .. } | Access::MaterializedView | Access::ProvedEmpty => Vec::new(),
+        Access::ColumnarScan { .. } | Access::ProvedEmpty => Vec::new(),
     }
 }
 
@@ -942,20 +887,6 @@ mod tests {
             *pushdown = Some(Predicate::cmp("year", CompareOp::Ge, 2012i64));
         }
         assert!(rules_of(&PlanValidator::new(&d).check(&plan)).contains(&RULE_CACHE_KEY));
-    }
-
-    #[test]
-    fn rejects_impure_matview() {
-        use drugtree_store::expr::CompareOp;
-        let d = small_dataset(SourceCapabilities::full());
-        let mut plan = planned(
-            &d,
-            OptimizerConfig::full(),
-            &Query::activities(Scope::Tree).aggregate(Metric::Count),
-        );
-        plan.access = Access::MaterializedView;
-        plan.residual = Predicate::cmp("year", CompareOp::Ge, 2012i64);
-        assert!(rules_of(&PlanValidator::new(&d).check(&plan)).contains(&RULE_MATVIEW));
     }
 
     #[test]

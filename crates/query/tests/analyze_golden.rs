@@ -57,8 +57,8 @@ Plan: scope=n1 interval=[0, 2) pruned_leaves=0 est_cost=12ms est_rows=2 | actual
   RuleTrace analyze/1: interval_rewrite=changed similarity_resolve=n/a substructure_resolve=n/a column_discovery=changed
   RuleTrace analyze/2: interval_rewrite=no-change similarity_resolve=n/a substructure_resolve=n/a column_discovery=no-change
   RuleTrace canonicalize/1: canon_nnf=no-change canon_flatten=no-change canon_fold=no-change canon_between=no-change canon_dedup=no-change
-  RuleTrace optimize/1: selectivity_ordering=changed stats_pruning=no-change pushdown=changed cardinality_estimate=changed replica_selection=n/a use_matview=n/a columnar_scan=n/a semantic_cache=changed
-  RuleTrace optimize/2: selectivity_ordering=no-change stats_pruning=no-change pushdown=no-change cardinality_estimate=no-change replica_selection=n/a use_matview=n/a columnar_scan=n/a semantic_cache=no-change
+  RuleTrace optimize/1: selectivity_ordering=changed stats_pruning=no-change pushdown=changed cardinality_estimate=changed replica_selection=n/a columnar_scan=n/a semantic_cache=changed
+  RuleTrace optimize/2: selectivity_ordering=no-change stats_pruning=no-change pushdown=no-change cardinality_estimate=no-change replica_selection=n/a columnar_scan=n/a semantic_cache=no-change
   RuleTrace lower/1: batching=changed concurrent_dispatch=changed lower_fetches=changed access_select=changed finish_build=changed
   RuleTrace lower/2: batching=no-change concurrent_dispatch=no-change lower_fetches=no-change access_select=no-change finish_build=no-change
   Trace:

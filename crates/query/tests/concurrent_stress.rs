@@ -269,7 +269,6 @@ fn shared_executor(dataset: &Dataset) -> Executor {
     config.validate = true;
     let mut exec = Executor::new(Optimizer::new(config));
     exec.collect_stats(dataset).expect("stats");
-    exec.build_matview(dataset).expect("matview");
     exec
 }
 

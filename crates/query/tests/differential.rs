@@ -359,7 +359,6 @@ fn optimizer_rules_preserve_query_semantics() {
         config.validate = true;
         let mut exec = Executor::new(Optimizer::new(config));
         exec.collect_stats(&dataset).expect("stats");
-        exec.build_matview(&dataset).expect("matview");
         exec.build_columnar(&dataset).expect("columnar");
         candidates.push((name, exec));
     }
@@ -447,7 +446,6 @@ fn concurrent_shared_executor_matches_naive_baseline() {
     config.validate = true;
     let mut exec = Executor::new(Optimizer::new(config));
     exec.collect_stats(&dataset).expect("stats");
-    exec.build_matview(&dataset).expect("matview");
     // No columnar mirror here on purpose: a fresh mirror answers every
     // interval scope locally, and this test's subject is the shared
     // *fetch* path (shared cache, source round-trips) under

@@ -17,12 +17,19 @@ use drugtree_query::{ActivityColumns, Dataset, Optimizer, OptimizerConfig, Query
 use drugtree_store::expr::{CompareOp, Predicate};
 use std::time::Duration;
 
-fn planned(d: &Dataset, config: OptimizerConfig, q: &Query) -> PhysicalPlan {
+/// Plan over collected statistics and, when `mirror` is set, a
+/// columnar mirror of `d`.
+fn planned_over(d: &Dataset, mirror: bool, config: OptimizerConfig, q: &Query) -> PhysicalPlan {
     let stats = OverlayStats::collect(d).expect("stats");
-    let mirror = ActivityColumns::build(d).expect("mirror");
+    let mirror = mirror.then(|| ActivityColumns::build(d).expect("mirror"));
     Optimizer::new(config)
-        .plan(d, Some(&stats), Some(&mirror), q)
+        .plan(d, Some(&stats), mirror.as_ref(), q)
         .expect("plans")
+}
+
+/// Plan on the fetch path (no mirror), the subject of most goldens.
+fn planned(d: &Dataset, config: OptimizerConfig, q: &Query) -> PhysicalPlan {
+    planned_over(d, false, config, q)
 }
 
 fn full_caps() -> drugtree_sources::source::SourceCapabilities {
@@ -60,8 +67,8 @@ Plan: scope=n1 interval=[0, 2) pruned_leaves=0 est_cost=12ms est_rows=2
   RuleTrace analyze/1: interval_rewrite=changed similarity_resolve=n/a substructure_resolve=n/a column_discovery=changed
   RuleTrace analyze/2: interval_rewrite=no-change similarity_resolve=n/a substructure_resolve=n/a column_discovery=no-change
   RuleTrace canonicalize/1: canon_nnf=no-change canon_flatten=no-change canon_fold=no-change canon_between=no-change canon_dedup=no-change
-  RuleTrace optimize/1: selectivity_ordering=changed stats_pruning=no-change pushdown=changed cardinality_estimate=changed replica_selection=n/a use_matview=n/a columnar_scan=n/a semantic_cache=changed
-  RuleTrace optimize/2: selectivity_ordering=no-change stats_pruning=no-change pushdown=no-change cardinality_estimate=no-change replica_selection=n/a use_matview=n/a columnar_scan=n/a semantic_cache=no-change
+  RuleTrace optimize/1: selectivity_ordering=changed stats_pruning=no-change pushdown=changed cardinality_estimate=changed replica_selection=n/a columnar_scan=n/a semantic_cache=changed
+  RuleTrace optimize/2: selectivity_ordering=no-change stats_pruning=no-change pushdown=no-change cardinality_estimate=no-change replica_selection=n/a columnar_scan=n/a semantic_cache=no-change
   RuleTrace lower/1: batching=changed concurrent_dispatch=changed lower_fetches=changed access_select=changed finish_build=changed
   RuleTrace lower/2: batching=no-change concurrent_dispatch=no-change lower_fetches=no-change access_select=no-change finish_build=no-change
 "
@@ -85,8 +92,8 @@ Plan: scope=n1 interval=[0, 2) pruned_leaves=0 est_cost=23ms est_rows=3
   RuleTrace analyze/1: interval_rewrite=changed similarity_resolve=n/a substructure_resolve=n/a column_discovery=changed
   RuleTrace analyze/2: interval_rewrite=no-change similarity_resolve=n/a substructure_resolve=n/a column_discovery=no-change
   RuleTrace canonicalize/1: canon_nnf=off canon_flatten=off canon_fold=off canon_between=off canon_dedup=off
-  RuleTrace optimize/1: selectivity_ordering=off stats_pruning=off pushdown=off cardinality_estimate=changed replica_selection=off use_matview=off columnar_scan=off semantic_cache=off
-  RuleTrace optimize/2: selectivity_ordering=off stats_pruning=off pushdown=off cardinality_estimate=no-change replica_selection=off use_matview=off columnar_scan=off semantic_cache=off
+  RuleTrace optimize/1: selectivity_ordering=off stats_pruning=off pushdown=off cardinality_estimate=changed replica_selection=off columnar_scan=off semantic_cache=off
+  RuleTrace optimize/2: selectivity_ordering=off stats_pruning=off pushdown=off cardinality_estimate=no-change replica_selection=off columnar_scan=off semantic_cache=off
   RuleTrace lower/1: batching=off concurrent_dispatch=off lower_fetches=changed access_select=changed finish_build=changed
   RuleTrace lower/2: batching=off concurrent_dispatch=off lower_fetches=no-change access_select=no-change finish_build=no-change
 "
@@ -169,16 +176,26 @@ fn toggle_selectivity_ordering() {
 }
 
 #[test]
-fn toggle_use_matview() {
+fn toggle_columnar_scan() {
     let d = small_dataset(full_caps());
     let q = Query::activities(Scope::Tree).aggregate(Metric::Count);
-    let (on, off) = toggled(&d, "use_matview", &q);
-    assert!(on.contains("MaterializedView"), "{on}");
+    let on = planned_over(&d, true, OptimizerConfig::full(), &q).explain();
+    let off = planned_over(
+        &d,
+        true,
+        OptimizerConfig::ablate("columnar_scan").expect("known rule"),
+        &q,
+    )
+    .explain();
     assert!(
-        on.contains("# matview: aggregate served from the columnar mirror"),
+        on.contains("ColumnarScan kernels=range-slice+filter pushdown=-"),
         "{on}"
     );
-    assert!(!off.contains("MaterializedView"), "{off}");
+    assert!(
+        on.contains("# columnar-scan: interval [0, 4) served by vectorized kernels"),
+        "{on}"
+    );
+    assert!(!off.contains("ColumnarScan"), "{off}");
     assert!(off.contains("AggregateChildren metric=count"), "{off}");
 }
 
@@ -321,8 +338,8 @@ Plan: scope=n0 interval=[0, 2) pruned_leaves=1 est_cost=50.02ms est_rows=1
   RuleTrace analyze/1: interval_rewrite=changed similarity_resolve=n/a substructure_resolve=n/a column_discovery=changed
   RuleTrace analyze/2: interval_rewrite=no-change similarity_resolve=n/a substructure_resolve=n/a column_discovery=no-change
   RuleTrace canonicalize/1: canon_nnf=no-change canon_flatten=no-change canon_fold=no-change canon_between=no-change canon_dedup=no-change
-  RuleTrace optimize/1: selectivity_ordering=changed stats_pruning=changed pushdown=n/a cardinality_estimate=changed replica_selection=changed use_matview=n/a columnar_scan=n/a semantic_cache=changed
-  RuleTrace optimize/2: selectivity_ordering=no-change stats_pruning=no-change pushdown=n/a cardinality_estimate=no-change replica_selection=no-change use_matview=n/a columnar_scan=n/a semantic_cache=no-change
+  RuleTrace optimize/1: selectivity_ordering=changed stats_pruning=changed pushdown=n/a cardinality_estimate=changed replica_selection=changed columnar_scan=n/a semantic_cache=changed
+  RuleTrace optimize/2: selectivity_ordering=no-change stats_pruning=no-change pushdown=n/a cardinality_estimate=no-change replica_selection=no-change columnar_scan=n/a semantic_cache=no-change
   RuleTrace lower/1: batching=n/a concurrent_dispatch=changed lower_fetches=n/a access_select=changed finish_build=changed
   RuleTrace lower/2: batching=n/a concurrent_dispatch=no-change lower_fetches=n/a access_select=no-change finish_build=no-change
 "

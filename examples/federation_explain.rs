@@ -36,7 +36,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let system = DrugTree::builder()
                 .dataset(bundle.build_dataset())
                 .optimizer(config)
-                .with_matview()
                 .build()?;
             println!("--- {label} plan:");
             println!("{}", system.explain(text)?);

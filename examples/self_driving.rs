@@ -37,8 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Loop 1 — auto-materialization: a refreshing dashboard re-runs a
     // whole-tree aggregate; the advisor accumulates the foregone cost,
-    // builds the view when it crosses break-even, and later refreshes
-    // are served from it.
+    // builds the columnar mirror when it crosses break-even, and later
+    // refreshes are served from it.
     let aggregate = parse_query("aggregate count in tree")?;
     for _ in 0..24 {
         system.executor().invalidate();

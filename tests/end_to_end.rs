@@ -95,7 +95,8 @@ fn pipeline_from_sequences_to_queries() {
     assert_eq!(res.rows, 3);
 }
 
-/// Statistics, cache, and matview survive a refresh cycle.
+/// A refresh empties the cache and re-collects statistics; answers
+/// stay the same.
 #[test]
 fn refresh_cycle_keeps_results_correct() {
     let bundle = SyntheticBundle::generate(&WorkloadSpec::default().leaves(64).ligands(16));

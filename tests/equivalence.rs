@@ -48,22 +48,29 @@ fn all_optimizer_configs_agree_with_naive() {
         .unwrap();
 
     // Challengers: full, plus each single-rule ablation, each with its
-    // own dataset/cache so runs are independent.
-    let mut challengers = vec![("full".to_string(), OptimizerConfig::full())];
+    // own dataset/cache so runs are independent. They run without the
+    // columnar mirror, so every fetch-rule ablation stays on the fetch
+    // path; `full+mirror` covers the local answers.
+    let mut challengers = vec![
+        ("full".to_string(), OptimizerConfig::full(), false),
+        ("full+mirror".to_string(), OptimizerConfig::full(), true),
+    ];
     for rule in drugtree_query::phases::ablatable_rules() {
         challengers.push((
             format!("full-minus-{}", rule.name),
             OptimizerConfig::ablate(rule.name).expect("known rule"),
+            false,
         ));
     }
 
-    for (name, config) in challengers {
-        let challenger = DrugTree::builder()
+    for (name, config, mirror) in challengers {
+        let mut builder = DrugTree::builder()
             .dataset(bundle.build_dataset())
-            .optimizer(config)
-            .with_matview()
-            .build()
-            .unwrap();
+            .optimizer(config);
+        if mirror {
+            builder = builder.with_columnar();
+        }
+        let challenger = builder.build().unwrap();
         for (i, query) in queries.iter().enumerate() {
             let expected = naive.execute(query).unwrap();
             let got = challenger.execute(query).unwrap();
@@ -181,7 +188,7 @@ fn local_aggregates_match_naive_bit_for_bit() {
         .unwrap();
     let local = DrugTree::builder()
         .dataset(bundle.build_dataset())
-        .with_matview()
+        .with_columnar()
         .build()
         .unwrap();
     for scope in ["tree", "subtree('clade1')"] {

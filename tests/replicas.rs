@@ -118,23 +118,23 @@ fn partitioned_sources_are_unaffected_by_the_rule() {
 
 #[test]
 fn replicated_matview_does_not_double_count() {
-    // A view built over replicas must count each record once, and
+    // A mirror built over replicas must count each record once, and
     // aggregate answers must match the fetch path's.
     let bundle = replicated_bundle();
-    let with_view = DrugTree::builder()
+    let with_mirror = DrugTree::builder()
         .dataset(bundle.build_dataset())
         .optimizer(OptimizerConfig::full())
-        .with_matview()
+        .with_columnar()
         .build()
         .unwrap();
-    let without_view = DrugTree::builder()
+    let without_mirror = DrugTree::builder()
         .dataset(bundle.build_dataset())
-        .optimizer(OptimizerConfig::ablate("use_matview").expect("known rule"))
+        .optimizer(OptimizerConfig::ablate("columnar_scan").expect("known rule"))
         .build()
         .unwrap();
-    let a = with_view.query("aggregate count in tree").unwrap();
-    assert_eq!(a.metrics.source_requests, 0, "view must answer");
-    let b = without_view.query("aggregate count in tree").unwrap();
+    let a = with_mirror.query("aggregate count in tree").unwrap();
+    assert_eq!(a.metrics.source_requests, 0, "mirror must answer");
+    let b = without_mirror.query("aggregate count in tree").unwrap();
     assert_eq!(a.rows, b.rows);
     // The per-clade counts sum to the true record count.
     let total: i64 = a.rows.iter().map(|r| r[3].as_int().unwrap()).sum();
@@ -174,7 +174,7 @@ fn cross_source_duplicate_is_counted_once_by_local_aggregates() {
         .unwrap();
     let local = DrugTree::builder()
         .dataset(with_duplicate())
-        .with_matview()
+        .with_columnar()
         .build()
         .unwrap();
     let text = "aggregate count in tree";
